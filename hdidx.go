@@ -22,6 +22,7 @@ package hdidx
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -50,13 +51,36 @@ func SetWorkers(n int) int { return par.SetWorkers(n) }
 // MethodBasic covers these configurations. Test with errors.Is.
 var ErrFlatTree = core.ErrFlatTree
 
+// ErrInvalidInput reports input no search can answer correctly: a NaN
+// or infinite coordinate in a point or query, or a NaN, negative or
+// infinite radius. Test with errors.Is.
+var ErrInvalidInput = errors.New("hdidx: invalid input")
+
+// checkFinite rejects a point or query with a NaN or infinite
+// coordinate.
+func checkFinite(what string, v []float64) error {
+	for j, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("%w: %s coordinate %d is %v", ErrInvalidInput, what, j, x)
+		}
+	}
+	return nil
+}
+
+// checkRadius rejects a NaN, negative or infinite radius.
+func checkRadius(r float64) error {
+	if !(r >= 0) || math.IsInf(r, 1) {
+		return fmt.Errorf("%w: radius %v", ErrInvalidInput, r)
+	}
+	return nil
+}
+
 // Option configures Build and NewPredictor.
 type Option func(*config)
 
 type config struct {
-	pageBytes     int
-	utilization   float64
-	prefilterBits int
+	pageBytes   int
+	utilization float64
 }
 
 func newConfig(opts []Option) (config, error) {
@@ -70,16 +94,14 @@ func newConfig(opts []Option) (config, error) {
 	if c.utilization <= 0 || c.utilization > 1 {
 		return config{}, fmt.Errorf("hdidx: utilization %g outside (0, 1]", c.utilization)
 	}
-	if (c.prefilterBits < 0 && c.prefilterBits != PrefilterAuto) || c.prefilterBits > 8 {
-		return config{}, fmt.Errorf("hdidx: prefilter bits %d outside [0, 8] and not PrefilterAuto", c.prefilterBits)
-	}
 	return c, nil
 }
 
 // validatePoints checks the dataset at the API boundary: it must be
-// non-empty and rectangular (every point of the same positive
-// dimension). Returning an error here replaces panics that used to
-// surface deep inside the disk and rtree layers.
+// non-empty, rectangular (every point of the same positive dimension)
+// and finite (no NaN or infinite coordinate, ErrInvalidInput).
+// Returning an error here replaces panics that used to surface deep
+// inside the disk and rtree layers.
 func validatePoints(points [][]float64) (dim int, err error) {
 	if len(points) == 0 {
 		return 0, fmt.Errorf("hdidx: no points")
@@ -91,6 +113,9 @@ func validatePoints(points [][]float64) (dim int, err error) {
 	for i, p := range points {
 		if len(p) != dim {
 			return 0, fmt.Errorf("hdidx: ragged input: point %d has dimension %d, point 0 has %d", i, len(p), dim)
+		}
+		if err := checkFinite(fmt.Sprintf("point %d", i), p); err != nil {
+			return 0, err
 		}
 	}
 	return dim, nil
@@ -107,28 +132,6 @@ func WithPageBytes(b int) Option {
 // are rejected by Build and NewPredictor.
 func WithUtilization(u float64) Option {
 	return func(c *config) { c.utilization = u }
-}
-
-// PrefilterAuto, passed to WithPrefilterBits, calibrates the prefilter
-// width empirically at build time: the flatten measures an exact leaf
-// scan against bound-filtered scans at candidate widths on a sample of
-// the indexed points and keeps the fastest — or no prefilter at all
-// when none pays for itself (the typical outcome at very high
-// dimensionality, where code arrays cost more to stream than the exact
-// evaluations they avoid).
-const PrefilterAuto = rtree.PrefilterAuto
-
-// WithPrefilterBits enables the quantized scan prefilter of the flat
-// query snapshot: leaf points are scalar-quantized to the given number
-// of bits per dimension at build time, and k-NN searches use cheap
-// lower/upper distance bounds over the byte codes to skip most exact
-// distance evaluations. Results are bit-identical to the unfiltered
-// search; only speed changes. Valid widths are 0 (off, the default)
-// through 8, plus PrefilterAuto for build-time calibration; other
-// values are rejected by Build. The predictor ignores this option — it
-// models page accesses, which the prefilter never changes.
-func WithPrefilterBits(bits int) Option {
-	return func(c *config) { c.prefilterBits = bits }
 }
 
 func (c config) geometry(dim int) rtree.Geometry {
@@ -163,8 +166,7 @@ func Build(points [][]float64, opts ...Option) (*Index, error) {
 	cp := make([][]float64, len(points))
 	copy(cp, points)
 	tree := rtree.BuildTraced(cp, rtree.ParamsForGeometry(g), obs.TraceIfEnabled("hdidx.build", nil))
-	flat := tree.FlattenWith(rtree.FlattenOptions{PrefilterBits: c.prefilterBits})
-	return &Index{tree: tree, flat: flat, g: g}, nil
+	return &Index{tree: tree, flat: tree.Flatten(), g: g}, nil
 }
 
 // QueryStats reports the page accesses of one search.
@@ -190,6 +192,9 @@ func (ix *Index) KNN(q []float64, k int) ([][]float64, QueryStats, error) {
 	}
 	if len(q) != ix.flat.Dim {
 		return nil, QueryStats{}, fmt.Errorf("hdidx: query dimension %d, index dimension %d", len(q), ix.flat.Dim)
+	}
+	if err := checkFinite("query", q); err != nil {
+		return nil, QueryStats{}, err
 	}
 	res := query.KNNSearchFlat(ix.flat, q, k)
 	return copyNeighbors(res.Neighbors, ix.flat.Dim), QueryStats{
@@ -223,8 +228,11 @@ func (ix *Index) RangeCount(center []float64, radius float64) (int, QueryStats, 
 	if len(center) != ix.flat.Dim {
 		return 0, QueryStats{}, fmt.Errorf("hdidx: query dimension %d, index dimension %d", len(center), ix.flat.Dim)
 	}
-	if radius < 0 {
-		return 0, QueryStats{}, fmt.Errorf("hdidx: negative radius")
+	if err := checkFinite("query", center); err != nil {
+		return 0, QueryStats{}, err
+	}
+	if err := checkRadius(radius); err != nil {
+		return 0, QueryStats{}, err
 	}
 	n, res := query.RangeSearchFlat(ix.flat, query.Sphere{Center: center, Radius: radius})
 	return n, QueryStats{LeafAccesses: res.LeafAccesses, DirAccesses: res.DirAccesses, Radius: radius}, nil
@@ -570,8 +578,8 @@ func estimateOf(m Method, pr core.Prediction) Estimate {
 // points) accesses on the index this predictor models. K in opts is
 // ignored.
 func (p *Predictor) EstimateRange(method Method, radius float64, opts EstimateOptions) (Estimate, error) {
-	if radius <= 0 {
-		return Estimate{}, fmt.Errorf("hdidx: range radius must be positive")
+	if !(radius > 0) || math.IsInf(radius, 1) {
+		return Estimate{}, fmt.Errorf("%w: range radius %v must be positive and finite", ErrInvalidInput, radius)
 	}
 	o, err := opts.withDefaults()
 	if err != nil {
@@ -635,8 +643,8 @@ func (p *Predictor) EstimateRange(method Method, radius float64, opts EstimateOp
 // the average leaf accesses of the range workload EstimateRange
 // predicts.
 func (p *Predictor) MeasureRangeAccesses(radius float64, opts EstimateOptions) (float64, error) {
-	if radius <= 0 {
-		return 0, fmt.Errorf("hdidx: range radius must be positive")
+	if !(radius > 0) || math.IsInf(radius, 1) {
+		return 0, fmt.Errorf("%w: range radius %v must be positive and finite", ErrInvalidInput, radius)
 	}
 	o, err := opts.withDefaults()
 	if err != nil {
@@ -734,7 +742,11 @@ func (p *Predictor) MeasureKNNAccesses(opts EstimateOptions) (float64, error) {
 	tr := obs.TraceIfEnabled("hdidx.measure.knn", nil)
 	spheres := query.ComputeSpheresTracedPool(p.points, queryPoints, k, pool, tr)
 	sp := tr.Span("measure.inmemory")
-	out := stats.Mean(core.MeasureInMemoryPool(p.points, p.g, spheres, pool))
+	// The bulk load reorders the slice it is given; build over a copy
+	// of the row pointers so the caller's order, and with it the query
+	// draw of the next call with the same Seed, is left intact.
+	rows := append([][]float64(nil), p.points...)
+	out := stats.Mean(core.MeasureInMemoryPool(rows, p.g, spheres, pool))
 	sp.End()
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package hdidx
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -102,68 +103,116 @@ func TestBuildOptions(t *testing.T) {
 	}
 }
 
-func TestBuildWithPrefilterBits(t *testing.T) {
-	pts := clusteredPoints(t, 0.01, 12)
-	plain, err := Build(pts)
+// TestInvalidInputRejected walks every public boundary that takes
+// coordinates or a radius: a NaN or infinite coordinate, and a NaN,
+// negative or infinite radius, must fail with ErrInvalidInput instead
+// of yielding a silently wrong answer (or persisting a poisoned point).
+func TestInvalidInputRejected(t *testing.T) {
+	pts := clusteredPoints(t, 0.01, 3)
+	dim := len(pts[0])
+	ix, err := Build(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := Build(pts, WithPrefilterBits(6))
+	p, err := NewPredictor(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The prefilter is a pure scan accelerator: results and page-access
-	// accounting must be identical to the unfiltered index.
-	rng := rand.New(rand.NewSource(13))
-	for i := 0; i < 20; i++ {
-		q := pts[rng.Intn(len(pts))]
-		a, ast, err := plain.KNN(q, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, bst, err := pre.KNN(q, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ast != bst {
-			t.Fatalf("stats %+v != unfiltered %+v", bst, ast)
-		}
-		for j := range a {
-			for d := range a[j] {
-				if a[j][d] != b[j][d] {
-					t.Fatalf("neighbor %d differs between prefiltered and plain index", j)
-				}
+	srv, err := NewServer(pts, ServeConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	nan, inf := math.NaN(), math.Inf(1)
+	// with returns a copy of pts[0] whose coordinate j is set to v.
+	with := func(j int, v float64) []float64 {
+		q := append([]float64(nil), pts[0]...)
+		q[j] = v
+		return q
+	}
+	// poisoned returns a copy of the dataset with one bad coordinate.
+	poisoned := func(v float64) [][]float64 {
+		out := append([][]float64(nil), pts...)
+		out[len(out)/2] = with(dim-1, v)
+		return out
+	}
+	opts := EstimateOptions{Queries: 5}
+	q := pts[0]
+	cases := []struct {
+		name string
+		call func() error
+	}{
+		{"Build NaN coordinate", func() error { _, err := Build(poisoned(nan)); return err }},
+		{"Build +Inf coordinate", func() error { _, err := Build(poisoned(inf)); return err }},
+		{"NewPredictor -Inf coordinate", func() error { _, err := NewPredictor(poisoned(-inf)); return err }},
+		{"NewServer NaN coordinate", func() error {
+			s, err := NewServer(poisoned(nan), ServeConfig{})
+			if err == nil {
+				s.Close()
 			}
+			return err
+		}},
+		{"Index.KNN NaN query", func() error { _, _, err := ix.KNN(with(0, nan), 3); return err }},
+		{"Index.RangeCount +Inf center", func() error { _, _, err := ix.RangeCount(with(1, inf), 1); return err }},
+		{"Index.RangeCount NaN radius", func() error { _, _, err := ix.RangeCount(q, nan); return err }},
+		{"Index.RangeCount negative radius", func() error { _, _, err := ix.RangeCount(q, -1); return err }},
+		{"Index.RangeCount +Inf radius", func() error { _, _, err := ix.RangeCount(q, inf); return err }},
+		{"Server.Insert NaN point", func() error { return srv.Insert(with(2, nan)) }},
+		{"Server.Insert +Inf point", func() error { return srv.Insert(with(2, inf)) }},
+		{"Server.KNN NaN query", func() error { _, _, err := srv.KNN(with(0, nan), 3); return err }},
+		{"Server.KNN -Inf query", func() error { _, _, err := srv.KNN(with(0, -inf), 3); return err }},
+		{"Server.RangeCount NaN center", func() error { _, err := srv.RangeCount(with(0, nan), 1); return err }},
+		{"Server.RangeCount NaN radius", func() error { _, err := srv.RangeCount(q, nan); return err }},
+		{"Server.RangeCount negative radius", func() error { _, err := srv.RangeCount(q, -1); return err }},
+		{"Server.RangeCount +Inf radius", func() error { _, err := srv.RangeCount(q, inf); return err }},
+		{"EstimateRange NaN radius", func() error { _, err := p.EstimateRange(MethodBasic, nan, opts); return err }},
+		{"MeasureRangeAccesses +Inf radius", func() error { _, err := p.MeasureRangeAccesses(inf, opts); return err }},
+	}
+	for _, c := range cases {
+		if err := c.call(); !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("%s: err = %v, want ErrInvalidInput", c.name, err)
 		}
 	}
-	for _, bits := range []int{-2, 9} {
-		if _, err := Build(pts, WithPrefilterBits(bits)); err == nil {
-			t.Errorf("prefilter bits %d accepted, want error", bits)
-		}
+	// Nothing poisoned reached the server: its points and answers are
+	// those of the valid dataset.
+	if err := srv.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	// -1 is PrefilterAuto: accepted, and the built index stays
-	// bit-identical to the unfiltered one whatever width it picked.
-	auto, err := Build(pts, WithPrefilterBits(PrefilterAuto))
-	if err != nil {
-		t.Fatalf("PrefilterAuto rejected: %v", err)
+	if srv.Len() != len(pts) {
+		t.Fatalf("server holds %d points after rejected inserts, want %d", srv.Len(), len(pts))
 	}
-	q := pts[7]
-	an, ast, err := auto.KNN(q, 5)
+	if n, err := srv.RangeCount(q, 0); err != nil || n < 1 {
+		t.Fatalf("valid zero-radius RangeCount = %d, %v; want >= 1, nil", n, err)
+	}
+}
+
+// TestMeasureKNNAccessesDeterministic pins the EstimateOptions
+// determinism contract for the ground-truth measurement: two calls
+// with the same options return the same value, and the caller's point
+// slice keeps its order (the in-memory bulk load must not permute it).
+func TestMeasureKNNAccessesDeterministic(t *testing.T) {
+	pts := clusteredPoints(t, 0.02, 9)
+	before := append([][]float64(nil), pts...)
+	p, err := NewPredictor(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pn, pst, err := plain.KNN(q, 5)
+	opts := EstimateOptions{K: 21, Queries: 30, Seed: 4}
+	first, err := p.MeasureKNNAccesses(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ast.Radius != pst.Radius {
-		t.Fatalf("auto-tuned radius %v != plain %v", ast.Radius, pst.Radius)
+	second, err := p.MeasureKNNAccesses(opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for j := range an {
-		for d := range an[j] {
-			if an[j][d] != pn[j][d] {
-				t.Fatalf("neighbor %d differs between auto-tuned and plain index", j)
-			}
+	if first != second {
+		t.Fatalf("same options measured %v, then %v", first, second)
+	}
+	for i := range pts {
+		if &pts[i][0] != &before[i][0] {
+			t.Fatalf("caller's slice reordered: row %d moved", i)
 		}
 	}
 }

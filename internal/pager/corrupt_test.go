@@ -22,14 +22,14 @@ import (
 // never a silently misread tree. The fuzz target extends the same
 // contract to arbitrary byte strings.
 
-// goodSnapshotBytes builds a small tree and serializes it at the
-// minimum page size, returning the raw file bytes.
-func goodSnapshotBytes(tb testing.TB, bits int) []byte {
+// goodSnapshotBytes builds a small tree from seed and serializes it at
+// the minimum page size, returning the raw file bytes.
+func goodSnapshotBytes(tb testing.TB, seed int64) []byte {
 	tb.Helper()
-	rng := rand.New(rand.NewSource(7))
+	rng := rand.New(rand.NewSource(seed))
 	data := uniform(400, 6, rng)
 	tr := rtree.Build(data, rtree.BuildParams{LeafCap: 16, DirCap: 8})
-	ft := tr.FlattenWith(rtree.FlattenOptions{PrefilterBits: bits})
+	ft := tr.Flatten()
 	var buf bytes.Buffer
 	if _, err := Write(&buf, ft, MinPageBytes); err != nil {
 		tb.Fatalf("write: %v", err)
@@ -56,7 +56,7 @@ func openBytes(tb testing.TB, b []byte) error {
 // empty, mid-header, header only, mid-section, one byte short — and
 // requires an error every time.
 func TestOpenTruncated(t *testing.T) {
-	good := goodSnapshotBytes(t, 4)
+	good := goodSnapshotBytes(t, 7)
 	cuts := []int{0, 1, headerBytes - 1, headerBytes, MinPageBytes - 1,
 		MinPageBytes, len(good) / 2, len(good) - MinPageBytes, len(good) - 1}
 	for _, cut := range cuts {
@@ -73,7 +73,7 @@ func TestOpenTruncated(t *testing.T) {
 // the header checksum (or, for the magic, the signature check) must
 // reject each one.
 func TestOpenHeaderBitFlips(t *testing.T) {
-	good := goodSnapshotBytes(t, 0)
+	good := goodSnapshotBytes(t, 7)
 	for off := 0; off < headerBytes; off++ {
 		b := append([]byte(nil), good...)
 		b[off] ^= 0xFF
@@ -88,7 +88,7 @@ func TestOpenHeaderBitFlips(t *testing.T) {
 // Bytes in the zero padding between sections are deliberately not
 // flipped — padding carries no data and is not checksummed.
 func TestOpenSectionBitFlips(t *testing.T) {
-	good := goodSnapshotBytes(t, 4)
+	good := goodSnapshotBytes(t, 7)
 	h, err := decodeHeader(good[:headerBytes])
 	if err != nil {
 		t.Fatalf("decode good header: %v", err)
@@ -108,13 +108,84 @@ func TestOpenSectionBitFlips(t *testing.T) {
 // version, with a correct header checksum, and requires rejection —
 // this reader must not guess at layouts it does not know.
 func TestOpenVersionSkew(t *testing.T) {
-	good := goodSnapshotBytes(t, 0)
+	good := goodSnapshotBytes(t, 7)
 	b := append([]byte(nil), good...)
 	binary.LittleEndian.PutUint32(b[4:], Version+1)
 	binary.LittleEndian.PutUint32(b[headerBytes-4:],
 		crc32.Checksum(b[:headerBytes-4], castagnoli))
 	if err := openBytes(t, b); err == nil {
 		t.Fatal("open accepted a file stamped with a future version")
+	}
+}
+
+// oldPrefilteredSnapshot fabricates a version-1 snapshot the way a
+// build with the quantized scan prefilter wrote one: the header's
+// reserved word holds the bit width, and two more checksummed sections
+// (column-major cell codes, then quantizer marks) follow the points.
+func oldPrefilteredSnapshot(tb testing.TB, bits int) []byte {
+	tb.Helper()
+	b := goodSnapshotBytes(tb, 7)
+	h, err := decodeHeader(b[:headerBytes])
+	if err != nil {
+		tb.Fatalf("decode good header: %v", err)
+	}
+	le := binary.LittleEndian
+	extra := [][]byte{
+		make([]byte, h.dim*h.numPoints),
+		make([]byte, h.dim*((1<<bits)+1)*8),
+	}
+	for i, sec := range extra {
+		off := 52 + 24*(len(h.sections)+i)
+		le.PutUint32(b[off:], uint32(secPoints+1+i))
+		le.PutUint32(b[off+4:], crc32.Checksum(sec, castagnoli))
+		le.PutUint64(b[off+8:], uint64(len(b)))
+		le.PutUint64(b[off+16:], uint64(len(sec)))
+		padded := make([]byte, pagePad(int64(len(sec)), MinPageBytes))
+		copy(padded, sec)
+		b = append(b, padded...)
+	}
+	le.PutUint32(b[44:], uint32(bits))
+	le.PutUint32(b[48:], uint32(len(h.sections)+len(extra)))
+	le.PutUint32(b[headerBytes-4:], crc32.Checksum(b[:headerBytes-4], castagnoli))
+	return b
+}
+
+// TestOpenRejectsPrefilteredSnapshot pins the fate of snapshots that
+// carry the removed prefilter: whether only the header's reserved word
+// is set or the whole old layout is present, every backend must fail
+// with an error that names the prefilter — never a misread tree.
+func TestOpenRejectsPrefilteredSnapshot(t *testing.T) {
+	stamped := goodSnapshotBytes(t, 7)
+	binary.LittleEndian.PutUint32(stamped[44:], 4)
+	binary.LittleEndian.PutUint32(stamped[headerBytes-4:],
+		crc32.Checksum(stamped[:headerBytes-4], castagnoli))
+	cases := []struct {
+		name string
+		data []byte
+	}{
+		{"header advertises prefilter bits", stamped},
+		{"old 4-bit prefiltered snapshot", oldPrefilteredSnapshot(t, 4)},
+		{"old 8-bit prefiltered snapshot", oldPrefilteredSnapshot(t, 8)},
+	}
+	backends := []Options{{}, {Backend: BackendReadAt}}
+	if MmapSupported() {
+		backends = append(backends, Options{Backend: BackendMmap})
+	}
+	path := filepath.Join(t.TempDir(), "old.hdsn")
+	for _, c := range cases {
+		if err := os.WriteFile(path, c.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range backends {
+			s, err := OpenWith(path, opts)
+			if err == nil {
+				s.Close()
+				t.Fatalf("%s/%v: open accepted a prefiltered snapshot", c.name, opts.Backend)
+			}
+			if !strings.Contains(err.Error(), "prefilter") {
+				t.Fatalf("%s/%v: error does not name the removed prefilter: %v", c.name, opts.Backend, err)
+			}
+		}
 	}
 }
 
@@ -125,7 +196,7 @@ func TestOpenForeignFiles(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	random := make([]byte, 4*MinPageBytes)
 	rng.Read(random)
-	wrongMagic := goodSnapshotBytes(t, 0)
+	wrongMagic := goodSnapshotBytes(t, 7)
 	wrongMagic = append([]byte(nil), wrongMagic...)
 	copy(wrongMagic[0:4], "HDX1")
 	binary.LittleEndian.PutUint32(wrongMagic[headerBytes-4:],
@@ -192,7 +263,7 @@ func TestOpenZeroLengthAndSubHeader(t *testing.T) {
 // Open either errors or yields a fully verified snapshot whose tree
 // answers a query without panicking.
 func FuzzOpen(f *testing.F) {
-	good := goodSnapshotBytes(f, 4)
+	good := goodSnapshotBytes(f, 7)
 	f.Add(good)
 	f.Add(good[:len(good)/2])
 	f.Add(good[:headerBytes])
@@ -201,6 +272,7 @@ func FuzzOpen(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte{})
 	f.Add([]byte("HDSN garbage that is far too short"))
+	f.Add(oldPrefilteredSnapshot(f, 4))
 	// One file path per fuzz process (workers are separate processes):
 	// per-exec temp dirs would dominate the runtime.
 	path := filepath.Join(f.TempDir(), "fuzz.hdsn")

@@ -24,12 +24,12 @@ func uniform(n, dim int, rng *rand.Rand) [][]float64 {
 	return out
 }
 
-func buildFlat(t *testing.T, n, dim, bits int, seed int64) *rtree.FlatTree {
+func buildFlat(t *testing.T, n, dim int, seed int64) *rtree.FlatTree {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	data := uniform(n, dim, rng)
 	tr := rtree.Build(data, rtree.BuildParams{LeafCap: 16, DirCap: 8})
-	return tr.FlattenWith(rtree.FlattenOptions{PrefilterBits: bits})
+	return tr.Flatten()
 }
 
 // equalTrees compares every exported field of two flat trees,
@@ -37,8 +37,7 @@ func buildFlat(t *testing.T, n, dim, bits int, seed int64) *rtree.FlatTree {
 func equalTrees(t *testing.T, got, want *rtree.FlatTree) {
 	t.Helper()
 	if got.Dim != want.Dim || got.Height != want.Height ||
-		got.NumPoints != want.NumPoints || got.NumLeaves != want.NumLeaves ||
-		got.PrefilterBits != want.PrefilterBits {
+		got.NumPoints != want.NumPoints || got.NumLeaves != want.NumLeaves {
 		t.Fatalf("tree shape diverges: %+v vs %+v", got, want)
 	}
 	if !reflect.DeepEqual(got.ChildStart, want.ChildStart) ||
@@ -55,28 +54,24 @@ func equalTrees(t *testing.T, got, want *rtree.FlatTree) {
 	if !reflect.DeepEqual(got.Points, want.Points) {
 		t.Fatal("point matrix diverges after round trip")
 	}
-	if !reflect.DeepEqual(got.Codes, want.Codes) || !reflect.DeepEqual(got.Marks, want.Marks) {
-		t.Fatal("prefilter arrays diverge after round trip")
-	}
 }
 
-// TestRoundTrip writes trees across dimensions, prefilter widths and
-// page sizes and reads them back, requiring every array bit-identical
+// TestRoundTrip writes trees across dimensions and page sizes and reads them back, requiring every array bit-identical
 // and search results over the reopened tree identical to the original.
 func TestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	cases := []struct {
-		n, dim, bits, page int
+		n, dim, page int
 	}{
-		{300, 4, 0, 512},
-		{300, 4, 0, 8192},
-		{1200, 16, 4, 512},
-		{1200, 16, 4, 4096},
-		{500, 60, 8, 8192},
-		{1, 3, 0, 512}, // single point, single leaf
+		{300, 4, 512},
+		{300, 4, 8192},
+		{1200, 16, 512},
+		{1200, 16, 4096},
+		{500, 60, 8192},
+		{1, 3, 512}, // single point, single leaf
 	}
 	for i, c := range cases {
-		ft := buildFlat(t, c.n, c.dim, c.bits, int64(100+i))
+		ft := buildFlat(t, c.n, c.dim, int64(100+i))
 		path := filepath.Join(dir, "snap")
 		if _, err := WriteFile(path, ft, c.page); err != nil {
 			t.Fatalf("case %d: write: %v", i, err)
@@ -130,7 +125,7 @@ func TestRoundTripEmpty(t *testing.T) {
 // bit-identical to the in-memory search, and the counters must record
 // the page traffic.
 func TestPagedSearchOverFile(t *testing.T) {
-	ft := buildFlat(t, 4000, 12, 0, 7)
+	ft := buildFlat(t, 4000, 12, 7)
 	path := filepath.Join(t.TempDir(), "snap")
 	if _, err := WriteFile(path, ft, 4096); err != nil {
 		t.Fatalf("write: %v", err)
@@ -172,7 +167,7 @@ func TestPagedSearchOverFile(t *testing.T) {
 // see TestMmapFaultAccounting.)
 func TestLeafRowsAccounting(t *testing.T) {
 	// dim 64 at 512-byte pages: one row is exactly one page.
-	ft := buildFlat(t, 256, 64, 0, 9)
+	ft := buildFlat(t, 256, 64, 9)
 	path := filepath.Join(t.TempDir(), "snap")
 	if _, err := WriteFile(path, ft, 512); err != nil {
 		t.Fatalf("write: %v", err)
@@ -215,8 +210,8 @@ func TestLeafRowsAccounting(t *testing.T) {
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "snap")
-	ft1 := buildFlat(t, 100, 4, 0, 1)
-	ft2 := buildFlat(t, 200, 4, 0, 2)
+	ft1 := buildFlat(t, 100, 4, 1)
+	ft2 := buildFlat(t, 200, 4, 2)
 
 	if _, err := WriteFileAtomic(path, ft1, 512); err != nil {
 		t.Fatalf("first publish: %v", err)

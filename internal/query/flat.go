@@ -11,8 +11,8 @@ import (
 
 // This file holds the traversal kernels over the linearized
 // rtree.FlatTree: an iterative best-first k-NN and an iterative range
-// search. They replace the pointer-chased Node walk of KNNSearch /
-// RangeSearch on the measurement hot paths with flat array traversal:
+// search. They run flat array traversal instead of a pointer-chased
+// rtree.Node walk:
 //
 //   - Child pruning is batched: one RectSet.MinSqDists call prices a
 //     node's whole child range over contiguous corner memory, with the
@@ -26,10 +26,10 @@ import (
 //     radii-only search allocates nothing and a search returning
 //     neighbors allocates only the result slice.
 //
-// The pointer-based KNNSearch and RangeSearch remain the oracles; the
-// flat searches are bit-identical to them in radius, leaf/dir access
-// counts, and neighbor sets (asserted by the property suite in
-// flat_test.go). Two facts make that possible even though heap
+// The flat searches are bit-identical to pointer-tree searches in
+// radius, leaf/dir access counts, and neighbor sets (the pointer walks
+// live in oracle_test.go; the property suite is in flat_test.go). Two
+// facts make that possible even though heap
 // tie-breaking and leaf visit order may differ between the paths:
 //
 //   - Every distance value is computed with the same ascending-
@@ -111,7 +111,6 @@ type flatScratch struct {
 	pq    nodeMinHeap
 	best  boundedMaxHeap
 	nbrs  neighborHeap
-	pre   prefilterScratch
 	dists []float64
 	stack []int32
 	rows  []float64 // paged-search leaf row buffer (paged.go)
@@ -130,8 +129,7 @@ var flatPool = sync.Pool{New: func() interface{} { return &flatScratch{} }}
 // KNNSearchFlat runs the iterative best-first (Hjaltason–Samet) k-NN
 // search over the flat tree and reports the pages accessed, including
 // the k nearest points (closest first, distance ties broken by
-// lexicographic point order). It is bit-identical to the pointer
-// oracle KNNSearch in radius, access counts, and neighbor set.
+// lexicographic point order).
 //
 // Aliasing contract: the returned Neighbors are row views into
 // ft.Points — zero-copy on purpose, since the measurement paths only
@@ -162,8 +160,6 @@ func knnFlat(ft *rtree.FlatTree, q []float64, k int, wantNeighbors bool, sc *fla
 	if wantNeighbors {
 		sc.nbrs.reset(k)
 	}
-	usePre := ft.PrefilterBits != 0
-	sc.pre.built = false
 	data, dim := ft.Points.Data, ft.Dim
 	sc.pq.push(0, ft.Rects.MinSqDist(0, q))
 	res := Result{}
@@ -176,10 +172,6 @@ func knnFlat(ft *rtree.FlatTree, q []float64, k int, wantNeighbors bool, sc *fla
 		if cc == 0 {
 			res.LeafAccesses++
 			start, end := int(ft.PtStart[node]), int(ft.PtStart[node]+ft.PtCount[node])
-			if usePre {
-				prefilterLeaf(ft, q, start, end, &sc.pre, &sc.best, &sc.nbrs, wantNeighbors, &res)
-				continue
-			}
 			for r := start; r < end; r++ {
 				row := data[r*dim : r*dim+dim]
 				d, ok := sqDistBounded(row, q, sc.best.max())
@@ -212,13 +204,8 @@ func knnFlat(ft *rtree.FlatTree, q []float64, k int, wantNeighbors bool, sc *fla
 }
 
 // RangeSearchFlat counts the points of the flat tree within the sphere
-// and the pages accessed doing so — bit-identical to the pointer
-// oracle RangeSearch (the accessed set is every node whose MINDIST is
-// at most the radius, independent of traversal order). On a snapshot
-// built with prefilter codes, leaf rows are first decided from their
-// quantized distance bounds and only the rows the bounds cannot decide
-// pay an exact evaluation — the count and access counts are identical
-// either way (prefilterRangeLeaf).
+// and the pages accessed doing so. The accessed set is every node
+// whose MINDIST is at most the radius, independent of traversal order.
 func RangeSearchFlat(ft *rtree.FlatTree, s Sphere) (points int, res Result) {
 	res.Radius = s.Radius
 	if ft.NumNodes() == 0 {
@@ -230,8 +217,6 @@ func RangeSearchFlat(ft *rtree.FlatTree, s Sphere) (points int, res Result) {
 	r2 := s.Radius * s.Radius
 	sc := flatPool.Get().(*flatScratch)
 	defer flatPool.Put(sc)
-	usePre := ft.PrefilterBits != 0
-	sc.pre.built = false
 	data, dim := ft.Points.Data, ft.Dim
 	stack := sc.stack[:0]
 	if ft.Rects.MinSqDist(0, s.Center) <= r2 {
@@ -244,10 +229,6 @@ func RangeSearchFlat(ft *rtree.FlatTree, s Sphere) (points int, res Result) {
 		if cc == 0 {
 			res.LeafAccesses++
 			start, end := int(ft.PtStart[node]), int(ft.PtStart[node]+ft.PtCount[node])
-			if usePre {
-				points += prefilterRangeLeaf(ft, s.Center, r2, start, end, &sc.pre, &res)
-				continue
-			}
 			for r := start; r < end; r++ {
 				if _, ok := sqDistBounded(data[r*dim:r*dim+dim], s.Center, r2); ok {
 					points++

@@ -141,98 +141,17 @@ type Result struct {
 	// DirAccesses is the number of directory pages read (including
 	// the root).
 	DirAccesses int
-	// PrefilterVisited counts the leaf points whose quantized bounds
-	// a prefiltered flat search computed (every point of every
-	// accessed leaf), and PrefilterSkipped the subset whose exact
-	// distance evaluation the lower bound proved unnecessary —
-	// skipped/visited is the fraction of exact work the prefilter
-	// avoided. Both stay zero when the flat tree carries no
-	// prefilter, and in the pointer oracle.
-	PrefilterVisited int
-	PrefilterSkipped int
 	// Neighbors holds the k nearest points, closest first.
 	Neighbors [][]float64
-}
-
-// KNNSearch runs the optimal best-first (Hjaltason–Samet) k-NN search
-// on the pointer tree and reports the pages accessed, including the k
-// nearest points (closest first, distance ties broken by lexicographic
-// point order).
-//
-// This is the reference oracle of the flat traversal layout: the hot
-// paths run KNNSearchFlat over Tree.Flatten(), which is bit-identical
-// in radius, access counts, and neighbor set (property-tested).
-func KNNSearch(t *rtree.Tree, q []float64, k int) Result {
-	if k <= 0 || k > t.NumPoints {
-		panic(fmt.Sprintf("query: k = %d outside [1, %d]", k, t.NumPoints))
-	}
-	var pq nodeHeap
-	pq.push(nodeEntry{node: t.Root, dist: t.Root.Rect.MinSqDist(q)})
-	best := newBoundedMaxHeap(k)
-	nbrs := neighborHeap{k: k}
-	res := Result{}
-	for pq.len() > 0 {
-		e := pq.pop()
-		if best.full() && e.dist > best.max() {
-			break
-		}
-		if e.node.IsLeaf() {
-			res.LeafAccesses++
-			for _, p := range e.node.Points {
-				d := sqDist(p, q)
-				best.offer(d)
-				nbrs.offer(d, p)
-			}
-			continue
-		}
-		res.DirAccesses++
-		for _, c := range e.node.Children {
-			d := c.Rect.MinSqDist(q)
-			if !best.full() || d <= best.max() {
-				pq.push(nodeEntry{node: c, dist: d})
-			}
-		}
-	}
-	res.Radius = math.Sqrt(best.max())
-	res.Neighbors = nbrs.extract()
-	return res
 }
 
 // MeasureKNN runs best-first k-NN for each query point and returns the
 // per-query access counts and radii (no neighbor lists — the
 // measurement callers only consume radii and page counts). The tree is
 // flattened once and the queries run the flat best-first search in
-// parallel; the results are bit-identical to per-query KNNSearch.
+// parallel.
 func MeasureKNN(t *rtree.Tree, queryPoints [][]float64, k int) []Result {
 	return MeasureKNNFlat(t.Flatten(), queryPoints, k)
-}
-
-// RangeSearch counts the points of the tree within the sphere and the
-// pages accessed doing so.
-func RangeSearch(t *rtree.Tree, s Sphere) (points int, res Result) {
-	r2 := s.Radius * s.Radius
-	var rec func(n *rtree.Node)
-	rec = func(n *rtree.Node) {
-		if n.Rect.MinSqDist(s.Center) > r2 {
-			return
-		}
-		if n.IsLeaf() {
-			res.LeafAccesses++
-			for _, p := range n.Points {
-				if sqDist(p, s.Center) <= r2 {
-					points++
-				}
-			}
-			return
-		}
-		res.DirAccesses++
-		for _, c := range n.Children {
-			rec(c)
-		}
-	}
-	rec(t.Root)
-	res.Radius = s.Radius
-	return points, res
 }
 
 func sqDist(a, b []float64) float64 {
@@ -244,59 +163,6 @@ func sqDist(a, b []float64) float64 {
 	return s
 }
 
-// nodeEntry / nodeHeap implement the best-first priority queue of the
-// pointer oracle as a concrete slice-backed binary min-heap — no
-// container/heap, so pushes append plain structs instead of boxing
-// every entry into an interface{} allocation.
-type nodeEntry struct {
-	node *rtree.Node
-	dist float64
-}
-
-type nodeHeap []nodeEntry
-
-func (h nodeHeap) len() int { return len(h) }
-
-func (h *nodeHeap) push(e nodeEntry) {
-	*h = append(*h, e)
-	s := *h
-	i := len(s) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if s[parent].dist <= s[i].dist {
-			break
-		}
-		s[parent], s[i] = s[i], s[parent]
-		i = parent
-	}
-}
-
-func (h *nodeHeap) pop() nodeEntry {
-	s := *h
-	top := s[0]
-	last := len(s) - 1
-	s[0] = s[last]
-	s = s[:last]
-	*h = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		min := i
-		if l < last && s[l].dist < s[min].dist {
-			min = l
-		}
-		if r < last && s[r].dist < s[min].dist {
-			min = r
-		}
-		if min == i {
-			break
-		}
-		s[i], s[min] = s[min], s[i]
-		i = min
-	}
-	return top
-}
-
 // neighborHeap selects the k nearest candidate points as a bounded
 // max-heap (the boundedMaxHeap machinery, carrying the points): offers
 // beyond capacity replace the root when strictly closer, so selection
@@ -304,8 +170,8 @@ func (h *nodeHeap) pop() nodeEntry {
 // O(n·k) selection sort over every visited leaf point. Distance ties
 // order by lexicographic point comparison, making the selected set and
 // its output order identical however the traversal encounters the
-// candidates — the pointer oracle and the flat search agree bit for
-// bit on neighbor lists.
+// candidates — every search path, and the merge of per-shard answers,
+// agrees bit for bit on neighbor lists.
 type neighborHeap struct {
 	k int
 	e []nbrCand

@@ -84,10 +84,10 @@ type Server struct {
 	srv *serve.Server
 }
 
-// NewServer starts a server over points. The index page geometry and
-// the scan prefilter are configured with the same options as Build
-// (WithPageBytes, WithUtilization, WithPrefilterBits). Close the
-// server when done to stop its batcher goroutine.
+// NewServer starts a server over points. The index page geometry is
+// configured with the same options as Build (WithPageBytes,
+// WithUtilization). Close the server when done to stop its batcher
+// goroutine.
 //
 // points may be empty when ServeConfig.SnapshotPath names an existing
 // snapshot file — the restarted server recovers its points (and its
@@ -105,15 +105,14 @@ func NewServer(points [][]float64, scfg ServeConfig, opts ...Option) (*Server, e
 		return nil, err
 	}
 	srv, err := serve.New(points, serve.Config{
-		Geometry:      c.geometry(dim),
-		Shards:        scfg.Shards,
-		FlattenEvery:  scfg.FlattenEvery,
-		QueueDepth:    scfg.QueueDepth,
-		BatchSize:     scfg.BatchSize,
-		QueueTimeout:  scfg.QueueTimeout,
-		PrefilterBits: c.prefilterBits,
-		SnapshotPath:  scfg.SnapshotPath,
-		Backend:       scfg.Backend,
+		Geometry:     c.geometry(dim),
+		Shards:       scfg.Shards,
+		FlattenEvery: scfg.FlattenEvery,
+		QueueDepth:   scfg.QueueDepth,
+		BatchSize:    scfg.BatchSize,
+		QueueTimeout: scfg.QueueTimeout,
+		SnapshotPath: scfg.SnapshotPath,
+		Backend:      scfg.Backend,
 	})
 	if err != nil {
 		return nil, err
@@ -125,7 +124,11 @@ func NewServer(points [][]float64, scfg ServeConfig, opts ...Option) (*Server, e
 // closest first, with the search's page-access statistics. The
 // neighbors are private copies. Concurrent calls may be answered by
 // one shared traversal; a full admission queue returns ErrOverloaded.
+// A query with a NaN or infinite coordinate fails with ErrInvalidInput.
 func (s *Server) KNN(q []float64, k int) ([][]float64, QueryStats, error) {
+	if err := checkFinite("query", q); err != nil {
+		return nil, QueryStats{}, err
+	}
 	res, err := s.srv.KNN(q, k)
 	if err != nil {
 		return nil, QueryStats{}, err
@@ -138,15 +141,28 @@ func (s *Server) KNN(q []float64, k int) ([][]float64, QueryStats, error) {
 }
 
 // RangeCount returns the number of points within radius of center on
-// the current snapshot.
+// the current snapshot. A non-finite center, or a NaN, negative or
+// infinite radius, fails with ErrInvalidInput.
 func (s *Server) RangeCount(center []float64, radius float64) (int, error) {
+	if err := checkFinite("query", center); err != nil {
+		return 0, err
+	}
+	if err := checkRadius(radius); err != nil {
+		return 0, err
+	}
 	n, _, err := s.srv.RangeCount(center, radius)
 	return n, err
 }
 
 // Insert ingests one point (copied). It becomes visible to queries at
-// the next snapshot publication.
-func (s *Server) Insert(p []float64) error { return s.srv.Insert(p) }
+// the next snapshot publication. A point with a NaN or infinite
+// coordinate fails with ErrInvalidInput.
+func (s *Server) Insert(p []float64) error {
+	if err := checkFinite("point", p); err != nil {
+		return err
+	}
+	return s.srv.Insert(p)
+}
 
 // Flush publishes any ingested-but-unpublished points immediately. It
 // returns ErrServerClosed on a closed server, and surfaces durable-
