@@ -39,6 +39,7 @@ func PredictResampled(pf *disk.PointFile, cfg Config) (Prediction, error) {
 	// empty-area fallback. Classifying against the adjusted boxes
 	// instead would let early-growing pages capture ever more points —
 	// a feedback loop that overflows their areas.
+	sp := cfg.Trace.Span(PhaseResampleScan)
 	boxes := make([]mbr.Rect, k)
 	for i, b := range up.grownLeaves {
 		boxes[i] = b.Clone()
@@ -48,6 +49,7 @@ func PredictResampled(pf *disk.PointFile, cfg Config) (Prediction, error) {
 	for i := range areas {
 		areas[i] = disk.NewPointFile(d, pf.Dim(), up.m)
 	}
+	sp.End()
 	// Read in chunks spanning ~M sampled points each, as in Figure 8.
 	srcChunk := scanChunk(up.m)
 	if sigmaLower < 1 {
@@ -61,7 +63,7 @@ func PredictResampled(pf *disk.PointFile, cfg Config) (Prediction, error) {
 		if c > srcChunk {
 			c = srcChunk
 		}
-		sp := cfg.Trace.Span(PhaseResampleScan)
+		sp = cfg.Trace.Span(PhaseResampleScan)
 		pts := pf.ReadRange(off, c)
 		// Bernoulli-subsample the chunk at sigma_lower.
 		kept := pts
@@ -107,7 +109,7 @@ func PredictResampled(pf *disk.PointFile, cfg Config) (Prediction, error) {
 	}
 
 	// (8)-(11) Build each lower tree on its area with full memory.
-	sp := cfg.Trace.Span(PhaseLowerBuild)
+	sp = cfg.Trace.Span(PhaseLowerBuild)
 	ceff := float64(up.topo.EffDataCapacity())
 	dirCap := float64(up.topo.EffDirCapacity())
 	leaves := make([]mbr.Rect, 0, up.topo.Leaves())

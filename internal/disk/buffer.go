@@ -7,9 +7,10 @@ package disk
 // being priced as physical I/O.
 //
 // The pool is a cost-accounting layer only. Page bytes always live in
-// Disk.data and writes go through immediately, so data read back is
-// identical with or without a pool; what the pool changes is when and
-// whether seeks and transfers are charged:
+// the extent of the File that owns them and writes go through
+// immediately, so data read back is identical with or without a pool;
+// what the pool changes is when and whether seeks and transfers are
+// charged:
 //
 //   - a touch of a resident page is a hit: no seek, no transfer;
 //   - a read miss charges the fetch like an uncached access and caches

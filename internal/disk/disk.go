@@ -8,6 +8,9 @@
 // The disk stores real bytes, so code built on top of it (the on-disk
 // bulk loader, the resampling predictor's k consecutive areas) actually
 // round-trips its data rather than merely pricing hypothetical I/O.
+// Each File owns the bytes of its own page-aligned extent; the disk
+// only numbers pages, so allocating an extent costs time proportional
+// to its size, not to everything allocated before it.
 // Counters can be snapshotted and diffed to attribute cost to phases.
 //
 // A disk may carry a buffer pool (NewBuffered): a CLOCK page cache with
@@ -138,14 +141,13 @@ func (c Counters) String() string {
 // the buffer pool) is guarded by a mutex so that observability code may
 // snapshot and diff counters, and allocate new extents, concurrently
 // with accesses on other goroutines (e.g. while parallelFor workers
-// run). The page data itself is not guarded: the simulation models a
-// single logical I/O stream, and all data accesses must stay on one
-// goroutine at a time.
+// run). The page data, held by each File, is not guarded: the
+// simulation models a single logical I/O stream, and all data accesses
+// must stay on one goroutine at a time.
 type Disk struct {
 	params Params
 
 	mu       sync.Mutex
-	data     []byte
 	pages    int64 // allocated pages
 	counters Counters
 	lastPage int64 // last page under the head, -1 if none
@@ -228,8 +230,10 @@ func (d *Disk) AllocatedPages() int64 {
 }
 
 // Alloc reserves a contiguous extent large enough for size bytes and
-// returns a File over it. Allocation itself performs no I/O. Safe for
-// concurrent use with counter snapshots and AllocatedPages.
+// returns a File over it. The extent takes the next free absolute page
+// numbers and brings its own zeroed bytes. Allocation itself performs
+// no I/O. Safe for concurrent use with counter snapshots and
+// AllocatedPages.
 func (d *Disk) Alloc(size int64) *File {
 	if size < 0 {
 		panic("disk: negative allocation")
@@ -239,6 +243,7 @@ func (d *Disk) Alloc(size int64) *File {
 	if numPages == 0 {
 		numPages = 1
 	}
+	data := make([]byte, numPages*pageBytes)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	f := &File{
@@ -246,14 +251,9 @@ func (d *Disk) Alloc(size int64) *File {
 		startPage: d.pages,
 		numPages:  numPages,
 		size:      size,
+		data:      data,
 	}
 	d.pages += numPages
-	need := d.pages * pageBytes
-	if int64(len(d.data)) < need {
-		grown := make([]byte, need)
-		copy(grown, d.data)
-		d.data = grown
-	}
 	return f
 }
 
@@ -351,6 +351,7 @@ type File struct {
 	startPage int64
 	numPages  int64
 	size      int64
+	data      []byte // the extent's bytes, numPages whole pages
 }
 
 // Size returns the logical size of the file in bytes.
@@ -396,8 +397,7 @@ func (f *File) ReadAt(b []byte, off int64) {
 	}
 	first, last := f.pageRange(off, len(b))
 	f.disk.access(f, first, last, false)
-	base := f.startPage * int64(f.disk.params.PageBytes)
-	copy(b, f.disk.data[base+off:])
+	copy(b, f.data[off:])
 }
 
 // WriteAt writes b starting at byte offset off, charging the page
@@ -410,23 +410,16 @@ func (f *File) WriteAt(b []byte, off int64) {
 	}
 	first, last := f.pageRange(off, len(b))
 	f.disk.access(f, first, last, true)
-	base := f.startPage * int64(f.disk.params.PageBytes)
-	copy(f.disk.data[base+off:], b)
+	copy(f.data[off:], b)
 }
 
-// readRaw and writeRaw move bytes without charging I/O. They exist for
-// higher-level abstractions in this package (PointFile) that perform
+// raw returns the n bytes at off as a view of the extent, without
+// charging I/O. It exists for higher-level abstractions in this
+// package (PointFile) that encode and decode in place and perform
 // their own page-granular accounting via TouchPages.
-func (f *File) readRaw(b []byte, off int64) {
-	f.boundsCheck(off, len(b))
-	base := f.startPage * int64(f.disk.params.PageBytes)
-	copy(b, f.disk.data[base+off:])
-}
-
-func (f *File) writeRaw(b []byte, off int64) {
-	f.boundsCheck(off, len(b))
-	base := f.startPage * int64(f.disk.params.PageBytes)
-	copy(f.disk.data[base+off:], b)
+func (f *File) raw(off int64, n int) []byte {
+	f.boundsCheck(off, n)
+	return f.data[off : off+int64(n)]
 }
 
 // TouchPages charges the I/O for reading count pages starting at the

@@ -57,11 +57,6 @@ func NewPointFile(d *Disk, dim, capacity int) *PointFile {
 	// size the extent in bytes to fit either layout.
 	perPoint := int64(EntryBytes(dim))
 	pageBytes := int64(d.params.PageBytes)
-	slot := perPoint
-	if slot < pageBytes {
-		slot = pageBytes
-	}
-	_ = slot
 	var size int64
 	if perPoint > pageBytes {
 		// Each point occupies ceil(perPoint/pageBytes) physical pages.
@@ -187,26 +182,24 @@ func (pf *PointFile) WriteAt(i int, p []float64) {
 	pf.chargeRange(i, 1, true)
 }
 
+// writeRawPoint encodes p as float32 values straight into the bytes of
+// point i's slot, without charging I/O.
 func (pf *PointFile) writeRawPoint(i int, p []float64) {
 	if len(p) != pf.dim {
 		panic(fmt.Sprintf("disk: point dimension %d != file dimension %d", len(p), pf.dim))
 	}
-	buf := make([]byte, EntryBytes(pf.dim))
-	off := 0
-	for _, v := range p {
-		binary.LittleEndian.PutUint32(buf[off:], math.Float32bits(float32(v)))
-		off += 4
+	buf := pf.file.raw(pf.byteOffset(i), EntryBytes(pf.dim))
+	for j, v := range p {
+		binary.LittleEndian.PutUint32(buf[4*j:], math.Float32bits(float32(v)))
 	}
-	pf.file.writeRaw(buf, pf.byteOffset(i))
 }
 
+// readRawPoint decodes point i from the bytes of its slot into out,
+// without charging I/O.
 func (pf *PointFile) readRawPoint(i int, out []float64) {
-	buf := make([]byte, EntryBytes(pf.dim))
-	pf.file.readRaw(buf, pf.byteOffset(i))
-	off := 0
-	for j := 0; j < pf.dim; j++ {
-		out[j] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[off:])))
-		off += 4
+	buf := pf.file.raw(pf.byteOffset(i), EntryBytes(pf.dim))
+	for j := range out[:pf.dim] {
+		out[j] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[4*j:])))
 	}
 }
 

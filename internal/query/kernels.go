@@ -205,68 +205,92 @@ func accumulateChunk(data []float64, dim int, q []float64, c, ce int, idx []int3
 	}
 }
 
-// heapPool recycles the per-worker bounded max-heaps of the parallel
-// sphere computations, so the fan-out allocates nothing per query.
-var heapPool = sync.Pool{New: func() interface{} { return &boundedMaxHeap{} }}
-
-// heapSetPool recycles the per-worker heap sets of the query-blocked
-// sphere computation (one heap per query of the worker's chunk).
-var heapSetPool = sync.Pool{New: func() interface{} { return &heapSet{} }}
-
-type heapSet struct{ heaps []*boundedMaxHeap }
-
-func (s *heapSet) grow(n, k int) []*boundedMaxHeap {
-	for len(s.heaps) < n {
-		s.heaps = append(s.heaps, &boundedMaxHeap{})
-	}
-	hs := s.heaps[:n]
-	for _, h := range hs {
-		h.reset(k)
-	}
-	return hs
-}
-
 // cacheBlockBytes is the target size of one row batch of the
 // query-blocked scan; batches this size stay cache-resident while
 // every query of a worker's chunk visits them.
 const cacheBlockBytes = 256 << 10
 
-// computeSpheresFlat is the kernel behind ComputeSpheres. When the
-// CPU supports it, the SIMD scan takes over (kernels_avx2_amd64.go),
-// packing the rows directly; otherwise the rows are flattened into a
-// vec.Matrix and the scalar query-blocked scan below runs. Both are
-// bit-identical to the reference. The fan-out over queries is bounded
-// by pool (the zero pool follows the process default).
+// computeSpheresFlat is the kernel behind ComputeSpheres: fresh heaps
+// advanced over the whole dataset by the sphere-scan core. The fan-out
+// over queries is bounded by pool (the zero pool follows the process
+// default).
 func computeSpheresFlat(data, queryPoints [][]float64, k int, pool par.Pool) []Sphere {
 	if k <= 0 || k > len(data) {
 		panic(fmt.Sprintf("query: k = %d outside [1, %d]", k, len(data)))
 	}
-	spheres := make([]Sphere, len(queryPoints))
-	if computeSpheresSIMD(data, queryPoints, k, spheres, pool) {
-		return spheres
+	heaps := newHeaps(len(queryPoints), k)
+	advanceSpheres(data, queryPoints, heaps, pool)
+	return spheresOf(queryPoints, heaps)
+}
+
+// newHeaps returns n empty bounded max-heaps of capacity k sharing one
+// backing array.
+func newHeaps(n, k int) []*boundedMaxHeap {
+	hs := make([]boundedMaxHeap, n)
+	vals := make([]float64, n*k)
+	heaps := make([]*boundedMaxHeap, n)
+	for i := range hs {
+		hs[i] = boundedMaxHeap{k: k, vals: vals[i*k : i*k : (i+1)*k]}
+		heaps[i] = &hs[i]
 	}
-	computeSpheresScalar(vec.NewMatrix(data), queryPoints, k, spheres, pool)
+	return heaps
+}
+
+// spheresOf turns the full heaps of a finished scan into k-NN spheres.
+func spheresOf(queryPoints [][]float64, heaps []*boundedMaxHeap) []Sphere {
+	spheres := make([]Sphere, len(queryPoints))
+	for i, h := range heaps {
+		spheres[i] = Sphere{Center: queryPoints[i], Radius: math.Sqrt(h.max())}
+	}
 	return spheres
 }
 
-// computeSpheresScalar is the portable query-blocked flat scan. The
-// dataset is walked once in cache-resident row batches, and every
-// query of the worker's chunk scans the batch (carrying its heap
-// across batches) before the next batch is touched — so the dataset
-// streams from memory once per worker instead of once per query. Per
+// advanceSpheres is the one sphere-scan core behind ComputeSpheres and
+// the SphereScanner: it offers the squared distance from
+// queryPoints[i] to every row of rows to heaps[i]. The heaps may carry
+// state from earlier rows of the same dataset, so a dataset streamed
+// in chunks gives the same radii as one scan. When the CPU supports
+// it, the packed SIMD scan runs (kernels_avx2_amd64.go); otherwise, or
+// for a chunk smaller than one lane group, the scalar query-blocked
+// scan below does. Both are bit-identical to the reference.
+func advanceSpheres(rows, queryPoints [][]float64, heaps []*boundedMaxHeap, pool par.Pool) {
+	if len(rows) == 0 {
+		return
+	}
+	dim := len(rows[0])
+	for _, q := range queryPoints {
+		if len(q) != dim {
+			panic(fmt.Sprintf("query: query dimension %d != dataset dimension %d", len(q), dim))
+		}
+	}
+	if advanceSpheresSIMD(rows, dim, queryPoints, heaps, pool) {
+		return
+	}
+	advanceSpheresScalar(rows, queryPoints, heaps, pool)
+}
+
+// matrixPool recycles the flattened rows of the scalar scan.
+var matrixPool = sync.Pool{New: func() interface{} { return &vec.Matrix{} }}
+
+// advanceSpheresScalar is the portable query-blocked flat scan. The
+// rows are flattened once and walked in cache-resident batches, and
+// every query of the worker's chunk scans the batch (carrying its heap
+// across batches) before the next batch is touched — so the rows
+// stream from memory once per worker instead of once per query. Per
 // query the rows still arrive in ascending order with the same
 // carried bound, so the radii are bit-identical to independent full
 // scans.
-func computeSpheresScalar(m vec.Matrix, queryPoints [][]float64, k int, spheres []Sphere, pool par.Pool) {
+func advanceSpheresScalar(rows, queryPoints [][]float64, heaps []*boundedMaxHeap, pool par.Pool) {
+	m := matrixPool.Get().(*vec.Matrix)
+	*m = vec.Matrix{Data: m.Data[:0]} // keep the array, adopt these rows' dim
+	m.AppendRows(rows)
 	dim := m.Dim
 	batchRows := cacheBlockBytes / (dim * 8)
 	if batchRows < scanBatch {
 		batchRows = scanBatch
 	}
+	n := m.Len()
 	pool.Chunks(len(queryPoints), func(lo, hi int) {
-		set := heapSetPool.Get().(*heapSet)
-		heaps := set.grow(hi-lo, k)
-		n := m.Len()
 		for b0 := 0; b0 < n; b0 += batchRows {
 			be := b0 + batchRows
 			if be > n {
@@ -274,12 +298,9 @@ func computeSpheresScalar(m vec.Matrix, queryPoints [][]float64, k int, spheres 
 			}
 			seg := m.Data[b0*dim : be*dim]
 			for i := lo; i < hi; i++ {
-				scanKNNFlat(seg, dim, queryPoints[i], heaps[i-lo])
+				scanKNNFlat(seg, dim, queryPoints[i], heaps[i])
 			}
 		}
-		for i := lo; i < hi; i++ {
-			spheres[i] = Sphere{Center: queryPoints[i], Radius: math.Sqrt(heaps[i-lo].max())}
-		}
-		heapSetPool.Put(set)
 	})
+	matrixPool.Put(m)
 }

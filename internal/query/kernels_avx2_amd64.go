@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"hdidx/internal/par"
@@ -122,39 +121,31 @@ func packMatrix(pts [][]float64, dim, lanes int) *packedMatrix {
 }
 
 // simdScratch is the pooled per-worker state of the SIMD scan: the
-// zero-padded query, the per-group distances of one batch, and the
-// per-query heaps of the worker's chunk.
+// zero-padded query and the per-group distances of one batch.
 type simdScratch struct {
-	qpad  []float64
-	part  []float64
-	heaps heapSet
+	qpad []float64
+	part []float64
 }
 
 var simdScratchPool = sync.Pool{New: func() interface{} { return &simdScratch{} }}
 
-// computeSpheresSIMD runs the packed SIMD scan; it reports false when
-// the CPU lacks support, leaving the work to the scalar path. The
-// scan is query-blocked like the scalar path: every query of the
-// worker's chunk visits a batch of scanBatch rows before the next
-// batch is touched (the bound refreshing from the heap in between),
-// so the dataset streams from memory once per worker instead of once
-// per query.
-func computeSpheresSIMD(data, queryPoints [][]float64, k int, spheres []Sphere, pool par.Pool) bool {
+// advanceSpheresSIMD advances the heaps over rows with the packed SIMD
+// scan; it reports false when the CPU lacks support or rows fill no
+// lane group, leaving the work to the scalar path. The scan is
+// query-blocked like the scalar path: every query of the worker's
+// chunk visits a batch of scanBatch rows before the next batch is
+// touched (the bound refreshing from the heap in between), so the rows
+// stream from memory once per worker instead of once per query.
+func advanceSpheresSIMD(rows [][]float64, dim int, queryPoints [][]float64, heaps []*boundedMaxHeap, pool par.Pool) bool {
 	lanes := simdLanes
-	if lanes == 0 || len(data) < lanes {
+	if lanes == 0 || len(rows) < lanes {
 		return false
-	}
-	dim := len(data[0])
-	for _, q := range queryPoints {
-		if len(q) != dim {
-			panic(fmt.Sprintf("query: query dimension %d != dataset dimension %d", len(q), dim))
-		}
 	}
 	scan := scanGroups4
 	if lanes == 8 {
 		scan = scanGroups8
 	}
-	pm := packMatrix(data, dim, lanes)
+	pm := packMatrix(rows, dim, lanes)
 	dimPad := pm.dimPad
 	groupBytes := uintptr(lanes*dimPad) * 8
 	nchunks := dimPad / dimChunk
@@ -168,7 +159,6 @@ func computeSpheresSIMD(data, queryPoints [][]float64, k int, spheres []Sphere, 
 			sc.part = make([]float64, scanBatch)
 		}
 		qpad, part := sc.qpad[:dimPad], sc.part[:scanBatch]
-		heaps := sc.heaps.grow(hi-lo, k)
 		for b0 := 0; b0 < pm.groups; b0 += batchGroups {
 			bn := pm.groups - b0
 			if bn > batchGroups {
@@ -179,7 +169,7 @@ func computeSpheresSIMD(data, queryPoints [][]float64, k int, spheres []Sphere, 
 				for j := dim; j < dimPad; j++ {
 					qpad[j] = 0
 				}
-				h := heaps[qi-lo]
+				h := heaps[qi]
 				bound := h.max()
 				scan(&pm.buf[0], groupBytes, b0, bn, &qpad[0], nchunks, bound, &part[0])
 				// Distances above the bound — abandoned groups and
@@ -194,10 +184,10 @@ func computeSpheresSIMD(data, queryPoints [][]float64, k int, spheres []Sphere, 
 				}
 			}
 		}
-		// Leftover rows (dataset size not divisible by the lane
-		// count) run the scalar bounded scan once per query.
+		// Leftover rows (row count not divisible by the lane count)
+		// run the scalar bounded scan once per query.
 		for qi := lo; qi < hi; qi++ {
-			h := heaps[qi-lo]
+			h := heaps[qi]
 			q := queryPoints[qi]
 			bound := h.max()
 			for _, row := range pm.tail {
@@ -208,7 +198,6 @@ func computeSpheresSIMD(data, queryPoints [][]float64, k int, spheres []Sphere, 
 				h.offer(d)
 				bound = h.max()
 			}
-			spheres[qi] = Sphere{Center: q, Radius: math.Sqrt(h.max())}
 		}
 		simdScratchPool.Put(sc)
 	})

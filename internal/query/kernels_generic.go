@@ -4,8 +4,8 @@ package query
 
 import "hdidx/internal/par"
 
-// computeSpheresSIMD is a no-op on architectures without the vector
+// advanceSpheresSIMD is a no-op on architectures without the vector
 // kernels; the scalar query-blocked scan handles everything.
-func computeSpheresSIMD(data, queryPoints [][]float64, k int, spheres []Sphere, pool par.Pool) bool {
+func advanceSpheresSIMD(rows [][]float64, dim int, queryPoints [][]float64, heaps []*boundedMaxHeap, pool par.Pool) bool {
 	return false
 }

@@ -1,11 +1,6 @@
 package query
 
-import (
-	"math"
-
-	"hdidx/internal/par"
-	"hdidx/internal/vec"
-)
+import "hdidx/internal/par"
 
 // SphereScanner computes the k-NN radii of a fixed set of query points
 // over a dataset that is streamed in chunks — the way the predictors
@@ -16,8 +11,7 @@ type SphereScanner struct {
 	k           int
 	heaps       []*boundedMaxHeap
 	seen        int
-	buf         vec.Matrix // flattened current chunk, reused across chunks
-	pool        par.Pool   // fan-out bound; zero = process default
+	pool        par.Pool // fan-out bound; zero = process default
 }
 
 // NewSphereScanner prepares a scanner for the given query points and k.
@@ -25,11 +19,7 @@ func NewSphereScanner(queryPoints [][]float64, k int) *SphereScanner {
 	if k <= 0 {
 		panic("query: k must be positive")
 	}
-	heaps := make([]*boundedMaxHeap, len(queryPoints))
-	for i := range heaps {
-		heaps[i] = newBoundedMaxHeap(k)
-	}
-	return &SphereScanner{queryPoints: queryPoints, k: k, heaps: heaps}
+	return &SphereScanner{queryPoints: queryPoints, k: k, heaps: newHeaps(len(queryPoints), k)}
 }
 
 // UsePool bounds the scanner's per-chunk fan-out by pool instead of
@@ -39,23 +29,13 @@ func (s *SphereScanner) UsePool(pool par.Pool) *SphereScanner {
 	return s
 }
 
-// Process feeds one chunk of the dataset to the scanner. The chunk is
-// flattened once into the scanner's reusable row-major buffer, then
-// every query advances its heap with the early-exit scan kernel (the
-// k-th-best bound carries over from earlier chunks). Queries are
-// updated in parallel.
+// Process feeds one chunk of the dataset to the scanner: every query
+// advances its heap over the chunk with the sphere-scan core behind
+// ComputeSpheres (the k-th-best bound carries over from earlier
+// chunks). Queries are updated in parallel.
 func (s *SphereScanner) Process(chunk [][]float64) {
 	s.seen += len(chunk)
-	if len(chunk) == 0 {
-		return
-	}
-	s.buf.Reset()
-	s.buf.AppendRows(chunk)
-	s.pool.Chunks(len(s.queryPoints), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			scanKNNFlat(s.buf.Data, s.buf.Dim, s.queryPoints[i], s.heaps[i])
-		}
-	})
+	advanceSpheres(chunk, s.queryPoints, s.heaps, s.pool)
 }
 
 // Spheres returns the k-NN spheres after the full dataset has been
@@ -64,9 +44,5 @@ func (s *SphereScanner) Spheres() []Sphere {
 	if s.seen < s.k {
 		panic("query: scanner saw fewer points than k")
 	}
-	out := make([]Sphere, len(s.queryPoints))
-	for i, h := range s.heaps {
-		out[i] = Sphere{Center: s.queryPoints[i], Radius: math.Sqrt(h.max())}
-	}
-	return out
+	return spheresOf(s.queryPoints, s.heaps)
 }
