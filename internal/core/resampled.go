@@ -34,16 +34,11 @@ func PredictResampled(pf *disk.PointFile, cfg Config) (Prediction, error) {
 	// (6)-(7) Second scan: resample at sigma_lower and distribute the
 	// points over k consecutive disk areas of capacity M each. Points
 	// beyond an area's capacity are discarded (paper footnote 5).
-	// Assignment tests against the static grown upper leaf pages;
-	// boxes tracks the adjusted page extents (Figure 6b) for the
-	// empty-area fallback. Classifying against the adjusted boxes
-	// instead would let early-growing pages capture ever more points —
-	// a feedback loop that overflows their areas.
+	// Assignment tests against the static grown upper leaf pages, not
+	// against pages adjusted to the points they receive (Figure 6b):
+	// adjusted pages would let early-growing pages capture ever more
+	// points — a feedback loop that overflows their areas.
 	sp := cfg.Trace.Span(PhaseResampleScan)
-	boxes := make([]mbr.Rect, k)
-	for i, b := range up.grownLeaves {
-		boxes[i] = b.Clone()
-	}
 	grownSet := mbr.NewRectSet(up.grownLeaves)
 	areas := make([]*disk.PointFile, k)
 	for i := range areas {
@@ -76,7 +71,7 @@ func PredictResampled(pf *disk.PointFile, cfg Config) (Prediction, error) {
 			}
 		}
 		// Classify in parallel against the static grown pages, then
-		// apply the bookkeeping box growth sequentially.
+		// buffer each point for its area in scan order.
 		assign = assign[:len(kept)]
 		classifyPoints(kept, grownSet, assign, cfg.DiscardOutside, cfg.pool())
 		for i, p := range kept {
@@ -85,7 +80,6 @@ func PredictResampled(pf *disk.PointFile, cfg Config) (Prediction, error) {
 				continue // DiscardOutside ablation
 			}
 			attempted[b]++
-			boxes[b].Extend(p)
 			buffers[b] = append(buffers[b], p)
 		}
 		sp.End()
@@ -109,38 +103,57 @@ func PredictResampled(pf *disk.PointFile, cfg Config) (Prediction, error) {
 	}
 
 	// (8)-(11) Build each lower tree on its area with full memory.
+	// The areas are read back here, in area order, so the disk sees
+	// the same accesses at every pool width; each area's build runs on
+	// the pool. Fork builds inline when every slot is busy, so at most
+	// about pool-width areas are decoded at a time.
 	sp = cfg.Trace.Span(PhaseLowerBuild)
 	ceff := float64(up.topo.EffDataCapacity())
 	dirCap := float64(up.topo.EffDirCapacity())
-	leaves := make([]mbr.Rect, 0, up.topo.Leaves())
+	perArea := make([][]mbr.Rect, k)
+	joins := make([]func(), 0, k)
+	g := cfg.pool().Group()
 	for i, area := range areas {
 		if DebugResampled != nil {
 			DebugResampled("area %d: stored=%d attempted=%d cap=%d", i, area.Len(), attempted[i], area.Cap())
 		}
 		if area.Len() == 0 {
 			// An upper leaf that attracted no resampled points: fall
-			// back to the cutoff geometry for its subtree.
-			leaves = append(leaves, splitBoxToLeaves(boxes[i], up.topo, up.leafLevel)...)
+			// back to the cutoff geometry for its subtree. An area
+			// stays empty only if no point was assigned to it, so its
+			// page is the static grown upper leaf.
+			perArea[i] = splitBoxToLeaves(up.grownLeaves[i], up.topo, up.leafLevel)
 			continue
 		}
 		// The nominal rate is sigma_lower; the adaptive extension
 		// additionally accounts for points this area lost to capacity
 		// overflow (paper footnote 5 discards them silently).
 		zeta := sigmaLower
-		if cfg.AdaptiveCompensation && attempted[i] > 0 {
+		if cfg.AdaptiveCompensation {
 			zeta = sigmaLower * float64(area.Len()) / float64(attempted[i])
 		}
 		pts := area.ReadAll()
-		lower := rtree.Build(pts, rtree.BuildParams{
-			LeafCap: ceff * zeta,
-			DirCap:  dirCap,
-			Height:  up.leafLevel,
-			Workers: cfg.Workers,
-		})
-		compensate := safeCompensation(ceff, zeta)
-		for _, r := range lower.LeafRects() {
-			leaves = append(leaves, r.GrowCentered(compensate))
-		}
+		joins = append(joins, g.Fork(func() {
+			lower := rtree.Build(pts, rtree.BuildParams{
+				LeafCap: ceff * zeta,
+				DirCap:  dirCap,
+				Height:  up.leafLevel,
+				Workers: cfg.Workers,
+			})
+			compensate := safeCompensation(ceff, zeta)
+			rects := lower.LeafRects()
+			for j, r := range rects {
+				rects[j] = r.GrowCentered(compensate)
+			}
+			perArea[i] = rects
+		}))
+	}
+	for _, join := range joins {
+		join()
+	}
+	leaves := make([]mbr.Rect, 0, up.topo.Leaves())
+	for _, rects := range perArea {
+		leaves = append(leaves, rects...)
 	}
 	sp.End()
 

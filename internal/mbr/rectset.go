@@ -218,6 +218,13 @@ func (s *RectSet) CountSphereIntersections(center []float64, radius float64) int
 // by MINDIST (first strictly-smaller wins, again matching the
 // sequential reference). contained reports which case occurred. It
 // panics on an empty set.
+//
+// Most points lie inside some box, so containment is decided first, by
+// a pass that leaves each box at its first nonzero MINDIST term. It
+// tests the squared term, not lo <= v <= hi: a gap below ~1e-154
+// squares to zero, and the reference sum is then zero too, so the
+// point counts as contained exactly when the reference says so. Only a
+// point that no box contains pays for the full nearest-box scan.
 func (s *RectSet) Classify(p []float64) (best int, contained bool) {
 	if s.n == 0 {
 		panic("mbr: Classify against an empty RectSet")
@@ -227,10 +234,15 @@ func (s *RectSet) Classify(p []float64) (best int, contained bool) {
 	}
 	dim := s.dim
 	lo, hi := s.lo, s.hi
+	for i, base := 0, 0; base < len(lo); i, base = i+1, base+dim {
+		if s.contains(base, p) {
+			return i, true
+		}
+	}
+	// No box contains p, so every box's sum is positive.
 	bestDist := math.Inf(1)
 	for i, base := 0, 0; base < len(lo); i, base = i+1, base+dim {
 		var acc float64
-		pruned := false
 		for j, v := range p {
 			if l := lo[base+j]; v < l {
 				d := l - v
@@ -241,21 +253,32 @@ func (s *RectSet) Classify(p []float64) (best int, contained bool) {
 			}
 			if acc > bestDist {
 				// Already farther than the best box; the remaining
-				// dimensions only add distance, and acc > 0 means the
-				// box cannot contain p either.
-				pruned = true
+				// dimensions only add distance.
 				break
 			}
-		}
-		if pruned {
-			continue
-		}
-		if acc == 0 {
-			return i, true
 		}
 		if acc < bestDist {
 			best, bestDist = i, acc
 		}
 	}
 	return best, false
+}
+
+// contains reports whether every MINDIST term of p against the box at
+// base is exactly zero, which is when the box's MinSqDist sum is zero.
+func (s *RectSet) contains(base int, p []float64) bool {
+	lo := s.lo[base : base+len(p)]
+	hi := s.hi[base : base+len(p)]
+	for j, v := range p {
+		if l := lo[j]; v < l {
+			if d := l - v; d*d != 0 {
+				return false
+			}
+		} else if h := hi[j]; v > h {
+			if d := v - h; d*d != 0 {
+				return false
+			}
+		}
+	}
+	return true
 }

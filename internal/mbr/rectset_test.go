@@ -227,6 +227,100 @@ func TestRectSetClassifyProperty(t *testing.T) {
 	}
 }
 
+// TestRectSetClassifyAdversarial pins Classify on the inputs where a
+// containment shortcut could part ways with the MINDIST reference:
+// gaps whose square underflows, shared faces, distance ties,
+// zero-width boxes and NaN coordinates. Each case states its answer
+// and is also checked against refClassify.
+func TestRectSetClassifyAdversarial(t *testing.T) {
+	box := func(lo, hi []float64) Rect { return FromCorners(lo, hi) }
+	nan := math.NaN()
+	cases := []struct {
+		name          string
+		boxes         []Rect
+		p             []float64
+		wantBox       int
+		wantContained bool
+	}{
+		{
+			// (1e-170)² underflows to 0, so the reference sum for box 0
+			// is 0 although p lies outside it.
+			name:  "outside by an underflowing gap",
+			boxes: []Rect{box([]float64{0, 0}, []float64{1, 1}), box([]float64{-1, -1}, []float64{1, 1})},
+			p:     []float64{-1e-170, 0.5}, wantBox: 0, wantContained: true,
+		},
+		{
+			name:  "above the high face by an underflowing gap",
+			boxes: []Rect{box([]float64{-1, -1}, []float64{0, 0}), box([]float64{-1, -1}, []float64{1, 1})},
+			p:     []float64{1e-170, -0.5}, wantBox: 0, wantContained: true,
+		},
+		{
+			// 1e-150 squares to 1e-300, still a normal float: not contained.
+			name:  "outside by a gap whose square survives",
+			boxes: []Rect{box([]float64{0, 0}, []float64{1, 1}), box([]float64{-1, -1}, []float64{1, 1})},
+			p:     []float64{-1e-150, 0.5}, wantBox: 1, wantContained: true,
+		},
+		{
+			name:  "on a shared face",
+			boxes: []Rect{box([]float64{0, 0}, []float64{1, 1}), box([]float64{1, 0}, []float64{2, 1})},
+			p:     []float64{1, 0.5}, wantBox: 0, wantContained: true,
+		},
+		{
+			name: "equal distance to two boxes",
+			boxes: []Rect{
+				box([]float64{5, 5}, []float64{6, 6}),
+				box([]float64{0, 0}, []float64{1, 1}),
+				box([]float64{2, 0}, []float64{3, 1}),
+			},
+			p: []float64{1.5, 0.5}, wantBox: 1, wantContained: false,
+		},
+		{
+			name: "inside a zero-width box",
+			boxes: []Rect{
+				box([]float64{0.5, 0.5}, []float64{0.5, 0.5}),
+				box([]float64{0, 0.2}, []float64{1, 0.2}),
+			},
+			p: []float64{0.25, 0.2}, wantBox: 1, wantContained: true,
+		},
+		{
+			name: "on a point box",
+			boxes: []Rect{
+				box([]float64{0, 0.2}, []float64{1, 0.2}),
+				box([]float64{0.5, 0.5}, []float64{0.5, 0.5}),
+			},
+			p: []float64{0.5, 0.5}, wantBox: 1, wantContained: true,
+		},
+		{
+			name: "near zero-width boxes",
+			boxes: []Rect{
+				box([]float64{0, 0.2}, []float64{1, 0.2}),
+				box([]float64{0.5, 0.5}, []float64{0.5, 0.5}),
+			},
+			p: []float64{0.6, 0.6}, wantBox: 1, wantContained: false,
+		},
+		{
+			// Every comparison with NaN is false, so no term is added
+			// and the first box "contains" the point. The facade
+			// rejects NaN input before it can reach a classifier.
+			name:  "NaN coordinate",
+			boxes: []Rect{box([]float64{0, 0}, []float64{1, 1}), box([]float64{5, 5}, []float64{6, 6})},
+			p:     []float64{nan, 0.5}, wantBox: 0, wantContained: true,
+		},
+	}
+	for _, c := range cases {
+		gotB, gotC := NewRectSet(c.boxes).Classify(c.p)
+		refB, refC := refClassify(c.boxes, c.p)
+		if refB != c.wantBox || refC != c.wantContained {
+			t.Fatalf("%s: reference gives (%d, %v), case expects (%d, %v)",
+				c.name, refB, refC, c.wantBox, c.wantContained)
+		}
+		if gotB != c.wantBox || gotC != c.wantContained {
+			t.Errorf("%s: Classify = (%d, %v), want (%d, %v)",
+				c.name, gotB, gotC, c.wantBox, c.wantContained)
+		}
+	}
+}
+
 // benchRectsAndSpheres stages a leaf-page-like workload: many small
 // rectangles, spheres sized so a few percent of them intersect (the
 // regime of the paper's intersection counting).
@@ -302,6 +396,77 @@ func BenchmarkKernelLeafIntersectRef60(b *testing.B) {
 			refCountIntersections(rects, c, radius)
 		}
 	}
+}
+
+// benchClassifyWorkload stages the resampled predictor's second scan
+// at paper scale: 39 overlapping boxes, each the grown MBR of a sample
+// of one 60-d Gaussian cluster, and points drawn from the same
+// clusters, most of which land inside some box (the share is reported
+// as contained_pct).
+func benchClassifyWorkload() (boxes []Rect, pts [][]float64, containedPct float64) {
+	const dim, nBoxes, sample, nPoints = 60, 39, 256, 4096
+	rng := rand.New(rand.NewSource(11))
+	centers := make([][]float64, nBoxes)
+	for i := range centers {
+		centers[i] = make([]float64, dim)
+		for j := range centers[i] {
+			centers[i][j] = rng.Float64()
+		}
+	}
+	draw := func(c []float64) []float64 {
+		p := make([]float64, dim)
+		for j := range p {
+			p[j] = c[j] + 0.2*rng.NormFloat64()
+		}
+		return p
+	}
+	boxes = make([]Rect, nBoxes)
+	for i, c := range centers {
+		r := New(draw(c))
+		for s := 1; s < sample; s++ {
+			r.Extend(draw(c))
+		}
+		boxes[i] = r.GrowCentered(1.03)
+	}
+	pts = make([][]float64, nPoints)
+	for i := range pts {
+		pts[i] = draw(centers[rng.Intn(nBoxes)])
+	}
+	contained := 0
+	for _, p := range pts {
+		if _, in := refClassify(boxes, p); in {
+			contained++
+		}
+	}
+	return boxes, pts, 100 * float64(contained) / float64(nPoints)
+}
+
+// BenchmarkKernelClassifyFlat60 times RectSet.Classify on the staged
+// workload; its Ref sibling runs the slice-based oracle on the same
+// inputs. scripts/bench.sh records their ratio in BENCH_kernels.json.
+func BenchmarkKernelClassifyFlat60(b *testing.B) {
+	boxes, pts, pct := benchClassifyWorkload()
+	s := NewRectSet(boxes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range pts {
+			s.Classify(p)
+		}
+	}
+	b.ReportMetric(pct, "contained_pct")
+}
+
+func BenchmarkKernelClassifyRef60(b *testing.B) {
+	boxes, pts, pct := benchClassifyWorkload()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range pts {
+			refClassify(boxes, p)
+		}
+	}
+	b.ReportMetric(pct, "contained_pct")
 }
 
 func TestRectSetSliceViews(t *testing.T) {

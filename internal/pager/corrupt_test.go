@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -184,6 +185,60 @@ func TestOpenRejectsPrefilteredSnapshot(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), "prefilter") {
 				t.Fatalf("%s/%v: error does not name the removed prefilter: %v", c.name, opts.Backend, err)
+			}
+		}
+	}
+}
+
+// TestOpenRejectsNonFiniteCoordinates plants NaN or ±Inf in an MBR
+// corner or a point row and re-seals the file: the section CRC and the
+// header CRC both match again. Every backend must still refuse it,
+// naming the section, because no search over such a tree is correct.
+func TestOpenRejectsNonFiniteCoordinates(t *testing.T) {
+	good := goodSnapshotBytes(t, 7)
+	h, err := decodeHeader(good[:headerBytes])
+	if err != nil {
+		t.Fatalf("decode good header: %v", err)
+	}
+	cases := []struct {
+		kind  uint32
+		value float64
+		at    func(n int) int // value index within the section
+	}{
+		{secRectLo, math.NaN(), func(n int) int { return 0 }},
+		{secRectHi, math.Inf(1), func(n int) int { return n / 2 }},
+		{secPoints, math.Inf(-1), func(n int) int { return n - 1 }},
+		{secPoints, math.NaN(), func(n int) int { return n / 3 }},
+	}
+	backends := []Options{{}, {Backend: BackendReadAt}}
+	if MmapSupported() {
+		backends = append(backends, Options{Backend: BackendMmap})
+	}
+	path := filepath.Join(t.TempDir(), "nonfinite.hdsn")
+	le := binary.LittleEndian
+	for _, c := range cases {
+		b := append([]byte(nil), good...)
+		for i, sec := range h.sections {
+			if sec.kind != c.kind {
+				continue
+			}
+			off := sec.offset + 8*int64(c.at(int(sec.length/8)))
+			le.PutUint64(b[off:], math.Float64bits(c.value))
+			le.PutUint32(b[52+24*i+4:], crc32.Checksum(b[sec.offset:sec.offset+sec.length], castagnoli))
+		}
+		le.PutUint32(b[headerBytes-4:], crc32.Checksum(b[:headerBytes-4], castagnoli))
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		name := coordSectionNames[c.kind]
+		for _, opts := range backends {
+			s, err := OpenWith(path, opts)
+			if err == nil {
+				s.Close()
+				t.Fatalf("%s = %v, %v backend: open accepted the file", name, c.value, opts.Backend)
+			}
+			if !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "non-finite") {
+				t.Fatalf("%s = %v, %v backend: error does not name the section: %v", name, c.value, opts.Backend, err)
 			}
 		}
 	}

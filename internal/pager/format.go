@@ -79,6 +79,14 @@ const (
 	secPoints
 )
 
+// coordSectionNames names the sections holding coordinates, for
+// error messages.
+var coordSectionNames = map[uint32]string{
+	secRectLo: "MBR low corners",
+	secRectHi: "MBR high corners",
+	secPoints: "point rows",
+}
+
 // maxSections is the number of section-table slots in the header. Two
 // slots beyond the seven sections held the removed prefilter's
 // sections; they stay so the header layout, and the offset of its

@@ -66,6 +66,7 @@ func openMmap(f *os.File, path string, h *header, size int64) (*Snapshot, error)
 		pointsOff, pointsLen int64
 	)
 	for i, sec := range h.sections {
+		var err error
 		b := data[sec.offset : sec.offset+sec.length]
 		if got := crc32.Checksum(b, castagnoli); got != sec.crc {
 			return nil, fmt.Errorf("section kind %d checksum mismatch (got %08x, want %08x)",
@@ -76,11 +77,17 @@ func openMmap(f *os.File, path string, h *header, size int64) (*Snapshot, error)
 			i32s[i] = viewInt32s(b)
 		case sec.kind == secRectLo:
 			rectLo = viewFloat64s(b)
+			err = checkFinite(sec.kind, rectLo, h.dim)
 		case sec.kind == secRectHi:
 			rectHi = viewFloat64s(b)
+			err = checkFinite(sec.kind, rectHi, h.dim)
 		case sec.kind == secPoints:
 			points = viewFloat64s(b)
 			pointsOff, pointsLen = sec.offset, sec.length
+			err = checkFinite(sec.kind, points, h.dim)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	rects, err := assembleRects(rectLo, rectHi, h.numNodes, h.dim)

@@ -223,11 +223,17 @@ func open(f *os.File, path string, opts Options) (*Snapshot, error) {
 			i32s[i] = decodeInt32s(b)
 		case sec.kind == secRectLo:
 			rectLo = decodeFloat64s(b)
+			err = checkFinite(sec.kind, rectLo, h.dim)
 		case sec.kind == secRectHi:
 			rectHi = decodeFloat64s(b)
+			err = checkFinite(sec.kind, rectHi, h.dim)
 		case sec.kind == secPoints:
 			points = decodeFloat64s(b)
 			pointsOff, pointsLen = sec.offset, sec.length
+			err = checkFinite(sec.kind, points, h.dim)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	rects, err := assembleRects(rectLo, rectHi, h.numNodes, h.dim)
@@ -250,6 +256,20 @@ func open(f *os.File, path string, opts Options) (*Snapshot, error) {
 		pointsLen: pointsLen,
 		lastPage:  -1,
 	}, nil
+}
+
+// checkFinite rejects a coordinate section (MBR corners or point rows)
+// holding NaN or ±Inf. A matching CRC proves only that the bytes are
+// the ones written; a tree with non-finite coordinates cannot be
+// searched correctly, so it must not open either.
+func checkFinite(kind uint32, vals []float64, dim int) error {
+	for i, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("section kind %d (%s): non-finite value %v in row %d, dimension %d",
+				kind, coordSectionNames[kind], v, i/dim, i%dim)
+		}
+	}
+	return nil
 }
 
 // assembleRects rebuilds the RectSet from its corner columns,

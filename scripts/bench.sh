@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Runs the kernel microbenchmarks (sphere scan and leaf-intersection
-# count, d=16 and d=60) and writes BENCH_kernels.json with the best
-# ns/op of each benchmark and the flat-vs-reference speedups the
-# acceptance criteria track. Interleaved -count runs and per-benchmark
+# count, d=16 and d=60; nearest-box classification, d=60) and writes
+# BENCH_kernels.json with the best ns/op of each benchmark and the
+# flat-vs-reference speedups the acceptance criteria track. Interleaved -count runs and per-benchmark
 # minima keep the ratios robust against machine noise.
 #
 # Also runs the buffer-pool hit-rate sweep (BenchmarkBuffer in
@@ -89,7 +89,8 @@ END {
 	m = split("compute_spheres_d16:KernelComputeSpheresFlat:KernelComputeSpheresRef " \
 	          "compute_spheres_d60:KernelComputeSpheresFlat60:KernelComputeSpheresRef60 " \
 	          "leaf_intersect_d16:KernelLeafIntersectFlat:KernelLeafIntersectRef " \
-	          "leaf_intersect_d60:KernelLeafIntersectFlat60:KernelLeafIntersectRef60", pairs, " ")
+	          "leaf_intersect_d60:KernelLeafIntersectFlat60:KernelLeafIntersectRef60 " \
+	          "classify_d60:KernelClassifyFlat60:KernelClassifyRef60", pairs, " ")
 	for (i = 1; i <= m; i++) {
 		split(pairs[i], p, ":")
 		flat = best["Benchmark" p[2]]; ref = best["Benchmark" p[3]]
