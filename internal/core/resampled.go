@@ -38,13 +38,17 @@ func PredictResampled(pf *disk.PointFile, cfg Config) (Prediction, error) {
 	// against pages adjusted to the points they receive (Figure 6b):
 	// adjusted pages would let early-growing pages capture ever more
 	// points — a feedback loop that overflows their areas.
+	//
+	// The scan decodes every chunk into one reused buffer, so a row
+	// lives only until its chunk's buffers are flushed to the areas.
+	// The span opened here also covers the first chunk's decode; each
+	// chunk reopens it for the next one.
 	sp := cfg.Trace.Span(PhaseResampleScan)
 	grownSet := mbr.NewRectSet(up.grownLeaves)
 	areas := make([]*disk.PointFile, k)
 	for i := range areas {
 		areas[i] = disk.NewPointFile(d, pf.Dim(), up.m)
 	}
-	sp.End()
 	// Read in chunks spanning ~M sampled points each, as in Figure 8.
 	srcChunk := scanChunk(up.m)
 	if sigmaLower < 1 {
@@ -53,14 +57,9 @@ func PredictResampled(pf *disk.PointFile, cfg Config) (Prediction, error) {
 	buffers := make([][][]float64, k)
 	attempted := make([]int, k)
 	assign := make([]int, srcChunk)
-	for off := 0; off < n; off += srcChunk {
-		c := n - off
-		if c > srcChunk {
-			c = srcChunk
-		}
-		sp = cfg.Trace.Span(PhaseResampleScan)
-		pts := pf.ReadRange(off, c)
-		// Bernoulli-subsample the chunk at sigma_lower.
+	pf.Scan(0, n, srcChunk, func(pts [][]float64) {
+		// Bernoulli-subsample the chunk at sigma_lower, compacting the
+		// row slices in place.
 		kept := pts
 		if sigmaLower < 1 {
 			kept = kept[:0]
@@ -100,19 +99,31 @@ func PredictResampled(pf *disk.PointFile, cfg Config) (Prediction, error) {
 			buffers[b] = buffers[b][:0]
 		}
 		sp.End()
-	}
+		sp = cfg.Trace.Span(PhaseResampleScan)
+	})
+	sp.End()
 
 	// (8)-(11) Build each lower tree on its area with full memory.
 	// The areas are read back here, in area order, so the disk sees
 	// the same accesses at every pool width; each area's build runs on
 	// the pool. Fork builds inline when every slot is busy, so at most
-	// about pool-width areas are decoded at a time.
+	// pool-width builds run at a time, and each area decodes into one
+	// of pool-width recycled buffers: a build hands its buffer back
+	// once the leaf rectangles (which own their corners) are taken.
 	sp = cfg.Trace.Span(PhaseLowerBuild)
 	ceff := float64(up.topo.EffDataCapacity())
 	dirCap := float64(up.topo.EffDirCapacity())
 	perArea := make([][]mbr.Rect, k)
 	joins := make([]func(), 0, k)
-	g := cfg.pool().Group()
+	pool := cfg.pool()
+	g := pool.Group()
+	// A free list, not a queue: at most pool-width - 1 forked builds
+	// hold a buffer while the caller decodes the next area, so a
+	// receive never waits.
+	spare := make(chan *disk.Rows, pool.Workers())
+	for i := 0; i < cap(spare); i++ {
+		spare <- new(disk.Rows)
+	}
 	for i, area := range areas {
 		if DebugResampled != nil {
 			DebugResampled("area %d: stored=%d attempted=%d cap=%d", i, area.Len(), attempted[i], area.Cap())
@@ -132,8 +143,10 @@ func PredictResampled(pf *disk.PointFile, cfg Config) (Prediction, error) {
 		if cfg.AdaptiveCompensation {
 			zeta = sigmaLower * float64(area.Len()) / float64(attempted[i])
 		}
-		pts := area.ReadAll()
+		buf := <-spare
+		pts := area.ReadRangeInto(buf, 0, area.Len())
 		joins = append(joins, g.Fork(func() {
+			defer func() { spare <- buf }()
 			lower := rtree.Build(pts, rtree.BuildParams{
 				LeafCap: ceff * zeta,
 				DirCap:  dirCap,

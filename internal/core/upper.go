@@ -72,21 +72,17 @@ func buildUpper(pf *disk.PointFile, cfg Config, needLower bool) (*upperResult, e
 	if cfg.FixedRadius == 0 {
 		scanner = query.NewSphereScanner(queryPoints, cfg.K).UsePool(cfg.pool())
 	}
+	// The scan reuses one chunk buffer; the reservoir copies the rows
+	// it keeps.
 	reservoir := dataset.NewReservoir(m, cfg.Rng)
-	chunk := scanChunk(m)
-	for off := 0; off < n; off += chunk {
-		c := n - off
-		if c > chunk {
-			c = chunk
-		}
-		pts := pf.ReadRange(off, c)
+	pf.Scan(0, n, scanChunk(m), func(pts [][]float64) {
 		if scanner != nil {
 			scanner.Process(pts)
 		}
 		for _, p := range pts {
 			reservoir.Offer(p)
 		}
-	}
+	})
 	sigmaUpper := math.Min(float64(m)/float64(n), 1)
 	var spheres []query.Sphere
 	if scanner != nil {

@@ -371,6 +371,50 @@ func TestReservoirUniformity(t *testing.T) {
 	}
 }
 
+// The reservoir must own the rows it keeps: a scan that decodes every
+// chunk into one reused buffer overwrites each row it offered, and the
+// sample must come out as if every row had been a fresh slice. The
+// stream is long enough that replacements run after the fill, across
+// more than one storage block.
+func TestReservoirCopiesOfferedRows(t *testing.T) {
+	const n, capacity, dim, chunk = 20000, 5000, 3, 64
+	row := func(i int) []float64 { return []float64{float64(i), float64(-i), float64(i) / 7} }
+
+	fresh := NewReservoir(capacity, rand.New(rand.NewSource(21)))
+	for i := 0; i < n; i++ {
+		fresh.Offer(row(i))
+	}
+
+	reused := NewReservoir(capacity, rand.New(rand.NewSource(21)))
+	buf := make([][]float64, chunk)
+	for i := range buf {
+		buf[i] = make([]float64, dim)
+	}
+	for off := 0; off < n; off += chunk {
+		for j := 0; j < chunk && off+j < n; j++ {
+			copy(buf[j], row(off+j))
+			reused.Offer(buf[j])
+		}
+		for j := range buf {
+			for c := range buf[j] {
+				buf[j][c] = math.NaN() // the caller reuses its buffer
+			}
+		}
+	}
+
+	want, got := fresh.Sample(), reused.Sample()
+	if len(got) != len(want) {
+		t.Fatalf("sample holds %d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		for c := range want[i] {
+			if math.Float64bits(got[i][c]) != math.Float64bits(want[i][c]) {
+				t.Fatalf("row %d = %v after the caller overwrote its buffer, want %v", i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func TestReservoirBadCapacityPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -61,12 +61,21 @@ func SampleExact(pts [][]float64, m int, rng *rand.Rand) [][]float64 {
 // Reservoir maintains a uniform sample of fixed capacity over a stream
 // of points (Vitter's Algorithm R). The predictors use it to draw the
 // upper-tree sample during the single dataset scan.
+//
+// The reservoir copies every point it accepts into storage it owns, so
+// a caller may offer rows from a buffer it reuses for the next chunk
+// of the stream.
 type Reservoir struct {
 	cap  int
 	seen int
 	pts  [][]float64
+	slab []float64 // unused tail of the current storage block
 	rng  *rand.Rand
 }
+
+// reservoirSlabRows is how many rows of storage the reservoir
+// allocates at a time while it fills.
+const reservoirSlabRows = 4096
 
 // NewReservoir returns a reservoir holding at most capacity points.
 func NewReservoir(capacity int, rng *rand.Rand) *Reservoir {
@@ -76,21 +85,41 @@ func NewReservoir(capacity int, rng *rand.Rand) *Reservoir {
 	return &Reservoir{cap: capacity, rng: rng}
 }
 
-// Offer feeds one point of the stream to the reservoir.
+// Offer feeds one point of the stream to the reservoir. An accepted
+// point is copied; p itself is not retained. Every point of a stream
+// must have the same length.
 func (r *Reservoir) Offer(p []float64) {
 	r.seen++
 	if len(r.pts) < r.cap {
-		r.pts = append(r.pts, p)
+		r.pts = append(r.pts, r.store(p))
 		return
 	}
 	if j := r.rng.Intn(r.seen); j < r.cap {
-		r.pts[j] = p
+		if len(r.pts[j]) != len(p) {
+			panic(fmt.Sprintf("dataset: reservoir offered a %d-coordinate point after %d-coordinate ones", len(p), len(r.pts[j])))
+		}
+		copy(r.pts[j], p)
 	}
+}
+
+// store copies p into the next free row of the reservoir's storage
+// while the reservoir fills.
+func (r *Reservoir) store(p []float64) []float64 {
+	if len(r.slab) < len(p) {
+		// Enough rows for the rest of the fill, which includes p.
+		rows := min(r.cap-len(r.pts), reservoirSlabRows)
+		r.slab = make([]float64, rows*len(p))
+	}
+	row := r.slab[:len(p):len(p)]
+	r.slab = r.slab[len(p):]
+	copy(row, p)
+	return row
 }
 
 // Seen returns the number of points offered so far.
 func (r *Reservoir) Seen() int { return r.seen }
 
-// Sample returns the current sample. The slice is owned by the
-// reservoir; callers must not retain it across further Offers.
+// Sample returns the current sample. The slice and its rows are owned
+// by the reservoir; callers must not retain them across further
+// Offers.
 func (r *Reservoir) Sample() [][]float64 { return r.pts }

@@ -354,7 +354,8 @@ func TestCountersStringAndHitRate(t *testing.T) {
 
 // BenchmarkBuffer sweeps the pool budget over a fixed mixed workload
 // (a hot set of root-like pages plus scattered short scans) and reports
-// the hit rate next to the accounting overhead. scripts/bench.sh
+// the hit rate and the simulated I/O seconds (io_s) of one pass next to
+// the accounting overhead (ns/op). scripts/bench.sh
 // collects the sweep into BENCH_buffer.json.
 func BenchmarkBuffer(b *testing.B) {
 	const filePages = 256
@@ -371,7 +372,7 @@ func BenchmarkBuffer(b *testing.B) {
 	for _, pages := range []int{0, 16, 64, 256} {
 		b.Run(fmt.Sprintf("pages=%d", pages), func(b *testing.B) {
 			b.ReportAllocs()
-			var hitRate float64
+			var hitRate, ioSeconds float64
 			for i := 0; i < b.N; i++ {
 				d := NewBuffered(DefaultParams(), BufferConfig{Pages: pages, Prefetch: 4})
 				f := d.Alloc(filePages * 8192)
@@ -379,8 +380,12 @@ func BenchmarkBuffer(b *testing.B) {
 					f.TouchPages(o.start, o.count)
 				}
 				hitRate = 100 * d.Counters().HitRate()
+				ioSeconds = d.Counters().CostSeconds(d.Params())
 			}
 			b.ReportMetric(hitRate, "hit%")
+			// The simulated I/O the trace costs, so the pool's CPU time
+			// per op stands next to the disk time it saves.
+			b.ReportMetric(ioSeconds, "io_s")
 		})
 	}
 }

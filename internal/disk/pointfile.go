@@ -194,33 +194,86 @@ func (pf *PointFile) writeRawPoint(i int, p []float64) {
 	}
 }
 
-// readRawPoint decodes point i from the bytes of its slot into out,
-// without charging I/O.
-func (pf *PointFile) readRawPoint(i int, out []float64) {
-	buf := pf.file.raw(pf.byteOffset(i), EntryBytes(pf.dim))
-	for j := range out[:pf.dim] {
-		out[j] = float64(math.Float32frombits(binary.LittleEndian.Uint32(buf[4*j:])))
-	}
+// Rows is reusable decode storage for PointFile reads: one flat
+// float64 buffer and the row slices over it. The zero value is ready
+// to use. The rows a read returns alias the storage, so they stay
+// valid only until the next read into the same Rows.
+type Rows struct {
+	flat []float64
+	rows [][]float64
 }
 
 // ReadRange reads count points starting at index start as one
 // sequential sweep and returns them as fresh slices.
 func (pf *PointFile) ReadRange(start, count int) [][]float64 {
-	if start < 0 || start+count > pf.n {
+	var buf Rows
+	return pf.ReadRangeInto(&buf, start, count)
+}
+
+// ReadRangeInto is ReadRange decoding into buf's storage, which grows
+// as needed and is otherwise reused. The row slices are rebuilt on
+// every read, so a caller may reorder or compact the returned slice
+// freely between reads.
+func (pf *PointFile) ReadRangeInto(buf *Rows, start, count int) [][]float64 {
+	if start < 0 || count < 0 || start+count > pf.n {
 		panic(fmt.Sprintf("disk: read [%d, %d) outside %d stored points", start, start+count, pf.n))
 	}
 	if count == 0 {
 		return nil
 	}
-	pts := make([][]float64, count)
-	flat := make([]float64, count*pf.dim)
-	for i := 0; i < count; i++ {
-		p := flat[i*pf.dim : (i+1)*pf.dim]
-		pf.readRawPoint(start+i, p)
-		pts[i] = p
+	dim := pf.dim
+	if cap(buf.flat) < count*dim {
+		buf.flat = make([]float64, count*dim)
+	}
+	if cap(buf.rows) < count {
+		buf.rows = make([][]float64, count)
+	}
+	flat, rows := buf.flat[:count*dim], buf.rows[:count]
+	// Points never span a page boundary, so the points of one page
+	// lie back to back: decode each page's run in one pass.
+	for i := start; i < start+count; {
+		run := pf.ppp - i%pf.ppp
+		if run > start+count-i {
+			run = start + count - i
+		}
+		dst := flat[(i-start)*dim : (i-start+run)*dim]
+		decodeFloat32s(dst, pf.file.raw(pf.byteOffset(i), run*EntryBytes(dim)))
+		i += run
+	}
+	for i := range rows {
+		rows[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
 	}
 	pf.chargeRange(start, count, false)
-	return pts
+	return rows
+}
+
+// Scan reads the points [start, end) in order, in chunks of at most
+// chunk points, and calls fn with each chunk. Every chunk is charged
+// as one sequential sweep, exactly as ReadRange charges it, before fn
+// runs. The chunks are decoded into one buffer that Scan reuses, so
+// the rows are valid only until fn returns: fn must copy any row it
+// keeps.
+func (pf *PointFile) Scan(start, end, chunk int, fn func(rows [][]float64)) {
+	if chunk < 1 {
+		panic(fmt.Sprintf("disk: scan chunk %d", chunk))
+	}
+	var buf Rows
+	for off := start; off < end; off += chunk {
+		c := end - off
+		if c > chunk {
+			c = chunk
+		}
+		fn(pf.ReadRangeInto(&buf, off, c))
+	}
+}
+
+// decodeFloat32s widens the little-endian float32 values of src into
+// dst.
+func decodeFloat32s(dst []float64, src []byte) {
+	src = src[:4*len(dst)]
+	for j := range dst {
+		dst[j] = float64(math.Float32frombits(binary.LittleEndian.Uint32(src[4*j:])))
+	}
 }
 
 // WriteRange overwrites count points starting at index start in one

@@ -8,6 +8,8 @@ package mbr
 import (
 	"fmt"
 	"math"
+
+	"hdidx/internal/vec"
 )
 
 // Rect is an axis-aligned hyper-rectangle given by its lower-left and
@@ -44,15 +46,21 @@ func FromCorners(lo, hi []float64) Rect {
 }
 
 // Bound returns the minimal bounding rectangle of a non-empty point set.
+// It is the rectangle New(pts[0]) extended by every further point, and
+// runs on the vector kernel behind vec.MinMax, which matches that
+// scalar loop bit for bit.
 func Bound(pts [][]float64) Rect {
 	if len(pts) == 0 {
 		panic("mbr: Bound of empty point set")
 	}
-	r := New(pts[0])
+	dim := len(pts[0])
 	for _, p := range pts[1:] {
-		r.Extend(p)
+		if len(p) != dim {
+			panic(fmt.Sprintf("mbr: point dimension %d != rect dimension %d", len(p), dim))
+		}
 	}
-	return r
+	lo, hi := vec.MinMax(pts)
+	return Rect{Lo: lo, Hi: hi}
 }
 
 // Dim returns the dimensionality of the rectangle.

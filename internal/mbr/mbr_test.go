@@ -372,3 +372,76 @@ func BenchmarkMinSqDist64(b *testing.B) {
 		r.MinSqDist(p)
 	}
 }
+
+// refBound is the scalar loop Bound must match bit for bit: the
+// degenerate rectangle of the first point, extended by every other.
+func refBound(pts [][]float64) Rect {
+	r := New(pts[0])
+	for _, p := range pts[1:] {
+		r.Extend(p)
+	}
+	return r
+}
+
+// Bound runs on a vector kernel (internal/vec) where the CPU has one.
+// Every dimensionality from 1 to 70 hits every tail length of both
+// vector widths; signed zeros in both orders and magnitudes from
+// 1e-150 to 1e150 must give exactly the bounds of the scalar compare.
+func TestBoundMatchesExtendLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(70))
+	negZero := math.Copysign(0, -1)
+	value := func() float64 {
+		switch rng.Intn(6) {
+		case 0:
+			return 0
+		case 1:
+			return negZero
+		default:
+			v := math.Pow(10, rng.Float64()*300-150)
+			if rng.Intn(2) == 0 {
+				v = -v
+			}
+			return v
+		}
+	}
+	same := func(a, b []float64) bool {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return len(a) == len(b)
+	}
+	for dim := 1; dim <= 70; dim++ {
+		for _, n := range []int{1, 2, 3, 9, 300} {
+			pts := make([][]float64, n)
+			for i := range pts {
+				pts[i] = make([]float64, dim)
+				for j := range pts[i] {
+					pts[i][j] = value()
+				}
+			}
+			got, want := Bound(pts), refBound(pts)
+			if !same(got.Lo, want.Lo) || !same(got.Hi, want.Hi) {
+				t.Fatalf("dim=%d n=%d: Bound %v, scalar loop %v", dim, n, got, want)
+			}
+		}
+	}
+	// All-zero rows of alternating sign: the first zero seen stays.
+	for _, first := range []float64{0, negZero} {
+		pts := [][]float64{{first, first, first, first, first}, {-first, -first, -first, -first, -first}}
+		got, want := Bound(pts), refBound(pts)
+		if !same(got.Lo, want.Lo) || !same(got.Hi, want.Hi) {
+			t.Fatalf("zeros from %v: Bound %v, scalar loop %v", first, got, want)
+		}
+	}
+}
+
+func TestBoundDimensionMismatchPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic on a point of another dimension")
+		}
+	}()
+	Bound([][]float64{{1, 2}, {1, 2, 3}})
+}

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"hdidx/internal/par"
+	"hdidx/internal/vec"
 )
 
 // SIMD variant of the sphere scan. Rows are packed into lane-wide
@@ -27,40 +28,9 @@ import (
 // the heap would reject.
 
 // simdLanes is the vector width in float64 rows: 8 with AVX-512, 4
-// with AVX2, 0 when the SIMD path is unavailable.
-var simdLanes = detectLanes()
-
-func detectLanes() int {
-	ecx := cpuid1ecx()
-	const osxsave, avx = 1 << 27, 1 << 28
-	if ecx&osxsave == 0 || ecx&avx == 0 {
-		return 0
-	}
-	xcr0 := xgetbv0()
-	// The OS must save/restore XMM and YMM state.
-	if xcr0&6 != 6 {
-		return 0
-	}
-	ebx := cpuid7ebx()
-	const avx2, avx512f = 1 << 5, 1 << 16
-	if ebx&avx2 == 0 {
-		return 0
-	}
-	// AVX-512 additionally needs opmask and ZMM state enabled.
-	if ebx&avx512f != 0 && xcr0&0xe6 == 0xe6 {
-		return 8
-	}
-	return 4
-}
-
-// cpuid1ecx returns ECX of CPUID leaf 1 (feature bits: OSXSAVE, AVX).
-func cpuid1ecx() uint32
-
-// cpuid7ebx returns EBX of CPUID leaf 7, subleaf 0 (AVX2, AVX-512F).
-func cpuid7ebx() uint32
-
-// xgetbv0 returns XCR0 (which register states the OS saves).
-func xgetbv0() uint64
+// with AVX2, 0 when the SIMD path is unavailable. The CPU probe lives
+// in internal/vec; tests override this copy to run every width.
+var simdLanes = vec.Lanes()
 
 // scanGroups4 and scanGroups8 accumulate, for each of the n
 // consecutive groups starting at group g0 of the packed matrix, the

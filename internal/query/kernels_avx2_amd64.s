@@ -6,31 +6,6 @@
 
 #include "textflag.h"
 
-// func cpuid1ecx() uint32
-TEXT ·cpuid1ecx(SB), NOSPLIT, $0-4
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	MOVL CX, ret+0(FP)
-	RET
-
-// func cpuid7ebx() uint32
-TEXT ·cpuid7ebx(SB), NOSPLIT, $0-4
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	MOVL BX, ret+0(FP)
-	RET
-
-// func xgetbv0() uint64
-TEXT ·xgetbv0(SB), NOSPLIT, $0-8
-	XORL CX, CX
-	XGETBV
-	SHLQ $32, DX
-	ORQ  DX, AX
-	MOVQ AX, ret+0(FP)
-	RET
-
 // func scanGroups4(packed *float64, groupBytes uintptr, g0, n int,
 //                  q *float64, nchunks int, bound float64,
 //                  part *float64)

@@ -189,18 +189,14 @@ func (e *extBuilder) maxVarianceDim(lo, hi int) int {
 	dim := e.pf.Dim()
 	sum := make([]float64, dim)
 	sumSq := make([]float64, dim)
-	for off := lo; off < hi; off += e.m {
-		c := hi - off
-		if c > e.m {
-			c = e.m
-		}
-		for _, p := range e.pf.ReadRange(off, c) {
+	e.pf.Scan(lo, hi, e.m, func(rows [][]float64) {
+		for _, p := range rows {
 			for j, v := range p {
 				sum[j] += v
 				sumSq[j] += v * v
 			}
 		}
-	}
+	})
 	n := float64(hi - lo)
 	best, bestVar := 0, math.Inf(-1)
 	for j := 0; j < dim; j++ {

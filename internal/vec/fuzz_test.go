@@ -1,6 +1,8 @@
 package vec
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -65,5 +67,34 @@ func FuzzSqDistSymmetry(f *testing.F) {
 		if SqDist(x, x) != 0 {
 			t.Fatal("self distance not zero")
 		}
+	})
+}
+
+// FuzzStatsKernels decodes arbitrary bytes as float64 rows of 1 to 70
+// dimensions and requires Mean, Variance, MaxVarianceDim and MinMax to
+// match the scalar loops bit for bit at every lane width the CPU runs
+// (two NaNs count as equal). Run with
+// `go test -fuzz=FuzzStatsKernels ./internal/vec`.
+func FuzzStatsKernels(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(0))
+	f.Add(make([]byte, 8*60*3), uint8(59))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0, 0, 0, 0, 0}, uint8(0))
+	f.Fuzz(func(t *testing.T, raw []byte, dimRaw uint8) {
+		dim := 1 + int(dimRaw)%70
+		n := len(raw) / (8 * dim)
+		if n == 0 {
+			return
+		}
+		pts := make([][]float64, n)
+		for i := range pts {
+			pts[i] = make([]float64, dim)
+			for j := range pts[i] {
+				off := 8 * (i*dim + j)
+				pts[i][j] = math.Float64frombits(binary.LittleEndian.Uint64(raw[off:]))
+			}
+		}
+		forEachLaneWidth(t, func(lanes int) {
+			checkStats(t, pts, fmt.Sprintf("lanes=%d dim=%d n=%d", lanes, dim, n))
+		})
 	})
 }

@@ -77,9 +77,11 @@ func Mean(pts [][]float64, out []float64) {
 	for i := range out {
 		out[i] = 0
 	}
-	for _, p := range pts {
-		for i, v := range p {
-			out[i] += v
+	if !addRowsSIMD(pts, out) {
+		for _, p := range pts {
+			for i, v := range p {
+				out[i] += v
+			}
 		}
 	}
 	n := float64(len(pts))
@@ -95,10 +97,12 @@ func Variance(pts [][]float64, mean, out []float64) {
 	for i := range out {
 		out[i] = 0
 	}
-	for _, p := range pts {
-		for i, v := range p {
-			d := v - mean[i]
-			out[i] += d * d
+	if !sqDevRowsSIMD(pts, mean, out) {
+		for _, p := range pts {
+			for i, v := range p {
+				d := v - mean[i]
+				out[i] += d * d
+			}
 		}
 	}
 	n := float64(len(pts))
@@ -137,6 +141,9 @@ func MinMax(pts [][]float64) (lo, hi []float64) {
 	dim := len(pts[0])
 	lo = Clone(pts[0][:dim])
 	hi = Clone(pts[0][:dim])
+	if minMaxRowsSIMD(pts[1:], lo, hi) {
+		return lo, hi
+	}
 	for _, p := range pts[1:] {
 		for i, v := range p {
 			if v < lo[i] {

@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # Runs the kernel microbenchmarks (sphere scan and leaf-intersection
-# count, d=16 and d=60; nearest-box classification, d=60) and writes
+# count, d=16 and d=60; nearest-box classification, d=60; the VAMSplit
+# split statistics and the bounding box of a lower-tree area, d=60) and writes
 # BENCH_kernels.json with the best ns/op of each benchmark and the
 # flat-vs-reference speedups the acceptance criteria track. Interleaved -count runs and per-benchmark
 # minima keep the ratios robust against machine noise.
 #
 # Also runs the buffer-pool hit-rate sweep (BenchmarkBuffer in
-# internal/disk) and writes BENCH_buffer.json with the best ns/op and
-# the hit rate of each pool budget.
+# internal/disk) and writes BENCH_buffer.json with the best ns/op, the
+# hit rate and the simulated I/O seconds of each pool budget.
 #
 # Also runs the parallel-build and concurrent-sweep benchmarks
 # (BenchmarkBuildWorkers in internal/rtree, BenchmarkSweepWorkers at
@@ -61,7 +62,7 @@ PAGEROUT="${PAGEROUT:-BENCH_pager.json}"
 PROCS="$(nproc 2>/dev/null || echo 1)"
 
 raw="$(go test -run='^$' -bench='^BenchmarkKernel' -benchtime="$BENCHTIME" -count="$COUNT" \
-	./internal/query/ ./internal/mbr/)"
+	./internal/query/ ./internal/mbr/ ./internal/vec/)"
 echo "$raw"
 
 echo "$raw" | awk -v out="$OUT" -v count="$COUNT" -v benchtime="$BENCHTIME" -v procs="$PROCS" '
@@ -90,7 +91,9 @@ END {
 	          "compute_spheres_d60:KernelComputeSpheresFlat60:KernelComputeSpheresRef60 " \
 	          "leaf_intersect_d16:KernelLeafIntersectFlat:KernelLeafIntersectRef " \
 	          "leaf_intersect_d60:KernelLeafIntersectFlat60:KernelLeafIntersectRef60 " \
-	          "classify_d60:KernelClassifyFlat60:KernelClassifyRef60", pairs, " ")
+	          "classify_d60:KernelClassifyFlat60:KernelClassifyRef60 " \
+	          "splitstats_d60:KernelSplitStats60:KernelSplitStatsRef60 " \
+	          "bound_d60:KernelBound60:KernelBoundRef60", pairs, " ")
 	for (i = 1; i <= m; i++) {
 		split(pairs[i], p, ":")
 		flat = best["Benchmark" p[2]]; ref = best["Benchmark" p[3]]
@@ -114,9 +117,11 @@ echo "$bufraw" | awk -v out="$BUFOUT" -v count="$COUNT" -v benchtime="$BENCHTIME
 	sub(/-[0-9]+$/, "", name)  # strip the -GOMAXPROCS suffix
 	ns = $3 + 0
 	if (!(name in best) || ns < best[name]) best[name] = ns
-	# the custom metric column: "<value> hit%"
+	# the custom metric columns: "<value> hit%" and "<value> io_s"
+	# (the simulated I/O is deterministic, so every run agrees)
 	for (i = 4; i < NF; i++) {
 		if ($(i + 1) == "hit%") hit[name] = $i + 0
+		if ($(i + 1) == "io_s") io[name] = $i + 0
 	}
 	if (!(name in seen)) { order[++n] = name; seen[name] = 1 }
 }
@@ -132,8 +137,8 @@ END {
 		name = order[i]
 		label = name
 		sub(/^BenchmarkBuffer\//, "", label)
-		printf "    \"%s\": {\"best_ns_per_op\": %.0f, \"hit_rate_pct\": %.2f}%s\n", \
-			label, best[name], hit[name], (i < n ? "," : "") > out
+		printf "    \"%s\": {\"best_ns_per_op\": %.0f, \"hit_rate_pct\": %.2f, \"io_s\": %.4f}%s\n", \
+			label, best[name], hit[name], io[name], (i < n ? "," : "") > out
 	}
 	printf "  }\n}\n" > out
 }'
